@@ -40,7 +40,7 @@ fn bench_ablation(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             let search = ConfigSearch::new(&predictor, spec.clone(), budget, params);
-            b.iter(|| black_box(search.best_config(black_box(0.35 * peak))))
+            b.iter(|| black_box(search.run(black_box(0.35 * peak), None)))
         });
     }
     group.finish();

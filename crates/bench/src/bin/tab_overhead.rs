@@ -91,38 +91,44 @@ fn main() {
     // lazy one-time builds (BE tables, QPS slabs, memo-cache fills) land
     // here and not in a measured row — the old binary@20% row read 55 ms
     // of first-call initialization against ~1 ms of steady state.
-    let warmup = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
+    let pruned_params = SearchParams {
+        strategy: SearchStrategy::FrontierPruned,
+        ..params
+    };
+    let search =
+        |params| ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
     for frac in fracs {
         let qps = frac * setup.peak_qps();
-        let _ = warmup.best_config(qps);
-        let _ = warmup.exhaustive(qps);
-        let _ = warmup.pruned(qps);
-        let _ = warmup.pruned(qps + quantum);
+        let _ = search(params).run(qps, None);
+        let _ = search(params).exhaustive_serial(qps);
+        let _ = search(pruned_params).run(qps, None);
+        let _ = search(pruned_params).run(qps + quantum, None);
     }
 
     let mut summaries = Vec::new();
     for frac in fracs {
         let qps = frac * setup.peak_qps();
-        let search = ConfigSearch::new(&predictor, setup.spec().clone(), setup.budget_w(), params);
-        let (fast, fast_us) = timed_reps(100, || search.best_config(qps));
-        let (full, full_us) = timed_reps(5, || search.exhaustive(qps));
+        let heuristic = search(params);
+        let (fast, fast_us) = timed_reps(100, || heuristic.run(qps, None));
+        let (full, full_us) = timed_reps(5, || heuristic.exhaustive_serial(qps));
         // Cold: no frontier cache attached, so every repetition pays the
         // full latticed sweep with neither seed nor parked slice state.
-        let (pruned, pruned_us) = timed_reps(200, || search.pruned(qps));
-        let latticed = search.exhaustive_latticed(qps);
+        let pruned_search = search(pruned_params);
+        let (pruned, pruned_us) = timed_reps(200, || pruned_search.run(qps, None));
+        let latticed = pruned_search.exhaustive_latticed(qps);
         // Warm: same QPS bucket every time — after the first pass the
         // parked state answers verbatim.
         let frontiers = FrontierCache::default();
-        let seeded = search.with_frontiers(&frontiers);
-        let _ = seeded.pruned(qps);
-        let (pruned_warm, warm_us) = timed_reps(200, || seeded.pruned(qps));
+        let seeded = pruned_search.with_frontiers(&frontiers);
+        let _ = seeded.run(qps, None);
+        let (pruned_warm, warm_us) = timed_reps(200, || seeded.run(qps, None));
         // Incremental: alternate between adjacent QPS buckets so every
         // repetition crosses exactly one slab boundary and rescans only
         // the slices whose envelope changed.
         let mut flip = false;
         let (pruned_inc, inc_us) = timed_reps(200, || {
             flip = !flip;
-            seeded.pruned(if flip { qps + quantum } else { qps })
+            seeded.run(if flip { qps + quantum } else { qps }, None)
         });
         println!("\n-- load {:.0}% of peak --", frac * 100.0);
         let fast_row =

@@ -7,23 +7,23 @@
 //! `(cores, freq-step, ways)` spans only a few thousand points per
 //! partition, and within one control interval the load is a single value.
 //! Every query still pays `Box<dyn Regressor>` dispatch plus a full KNN /
-//! tree evaluation. This module memoizes the answers behind a quantized
-//! key so repeated lattice points cost a hash lookup instead.
+//! tree evaluation. This module memoizes the answers so repeated lattice
+//! points cost a hash lookup instead.
 //!
-//! Keys quantize exactly: `cores` and `ways` are integers, `freq_ghz`
-//! comes from the discrete [`NodeSpec`](sturgeon_simnode::NodeSpec)
-//! frequency table (bit-identical per level), and `qps` is either taken
-//! bit-exact (the default) or bucketed by a configurable quantum for
-//! callers that sweep continuously varying loads. With the default exact
-//! keys the cache can never change a result, only its cost — the
+//! Keys are bit-exact: `cores` and `ways` are integers, `freq_ghz` comes
+//! from the discrete [`NodeSpec`](sturgeon_simnode::NodeSpec) frequency
+//! table (bit-identical per level), and `qps` is keyed by its `f64` bits.
+//! The cache can therefore never change a result, only its cost — the
 //! oracle-equivalence test in `tests/integration_predictor.rs` locks that
 //! in.
 //!
 //! The cache is `Send + Sync` (sharded `parking_lot::Mutex` maps, atomic
-//! counters) so the parallel sweeps of the search layer can share one
-//! instance across worker threads.
+//! lifetime counters) so the fleet shards sharing one predictor can share
+//! one instance. Each lookup also reports its hit or miss to the caller's
+//! [`QueryMeter`], which is how a search counts only its own queries.
 
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,10 +42,9 @@ pub enum Family {
     BePower,
 }
 
-/// Fully quantized cache key. `freq_bits`/`qps_bits` are `f64::to_bits`
-/// images (or bucket indices when a qps quantum is configured), so lookup
-/// equality is exact and `NaN` never reaches a key (query paths pass
-/// finite values only).
+/// Bit-exact cache key. `freq_bits`/`qps_bits` are `f64::to_bits` images,
+/// so lookup equality is exact and `NaN` never reaches a key (query paths
+/// pass finite values only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     family: Family,
@@ -57,10 +56,10 @@ struct Key {
 
 /// Number of independently locked shards. Power of two so the shard index
 /// is a mask of the key hash; 16 keeps contention negligible for the
-/// worker counts the rayon sweeps use.
+/// fleet's worker counts.
 const SHARDS: usize = 16;
 
-/// A sharded, thread-safe memo table from quantized query keys to
+/// A sharded, thread-safe memo table from bit-exact query keys to
 /// predicted values, with hit/miss accounting for the §VII-E overhead
 /// tables.
 pub struct PredictionCache {
@@ -68,8 +67,6 @@ pub struct PredictionCache {
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: AtomicBool,
-    /// `qps` bucket width; `<= 0` means exact (bit-identical) keys.
-    qps_quantum: Mutex<f64>,
 }
 
 impl std::fmt::Debug for PredictionCache {
@@ -90,14 +87,13 @@ impl Default for PredictionCache {
 }
 
 impl PredictionCache {
-    /// An empty, enabled cache with exact qps keys.
+    /// An empty, enabled cache.
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            qps_quantum: Mutex::new(0.0),
         }
     }
 
@@ -113,39 +109,17 @@ impl PredictionCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Sets the qps bucket width. `0.0` (the default) keys loads
-    /// bit-exactly, which preserves result equivalence by construction;
-    /// a positive quantum trades a bounded load-rounding error for hits
-    /// across nearby loads. Changing the quantum invalidates the cache —
-    /// old keys were quantized differently.
-    pub fn set_qps_quantum(&self, quantum: f64) {
-        *self.qps_quantum.lock() = quantum.max(0.0);
-        self.clear();
-    }
-
-    /// Current qps bucket width (`0.0` = exact).
-    pub fn qps_quantum(&self) -> f64 {
-        *self.qps_quantum.lock()
-    }
-
-    fn quantize_qps(&self, qps: f64) -> u64 {
-        let quantum = *self.qps_quantum.lock();
-        if quantum > 0.0 {
-            (qps / quantum).round() as u64
-        } else {
-            qps.to_bits()
-        }
-    }
-
     fn shard_of(&self, key: &Key) -> &Mutex<HashMap<Key, f64>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
-    /// Returns the memoized value for the quantized query, computing and
-    /// inserting it on a miss. With the cache disabled this is exactly
-    /// `compute()`.
+    /// Returns the memoized value for the query, computing and inserting
+    /// it on a miss. The hit or miss is counted both in the cache's
+    /// lifetime totals and in `meter`. With the cache disabled this is
+    /// exactly `compute()` and nothing is counted.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_compute(
         &self,
         family: Family,
@@ -153,6 +127,7 @@ impl PredictionCache {
         freq_ghz: f64,
         ways: u32,
         qps: f64,
+        meter: &QueryMeter,
         compute: impl FnOnce() -> f64,
     ) -> f64 {
         if !self.is_enabled() {
@@ -163,11 +138,12 @@ impl PredictionCache {
             cores,
             freq_bits: freq_ghz.to_bits(),
             ways,
-            qps_bits: self.quantize_qps(qps),
+            qps_bits: qps.to_bits(),
         };
         let shard = self.shard_of(&key);
         if let Some(&v) = shard.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
+            meter.hits.set(meter.hits.get() + 1);
             return v;
         }
         // The lock is dropped during compute(): a concurrent worker may
@@ -177,6 +153,7 @@ impl PredictionCache {
         let v = compute();
         shard.lock().insert(key, v);
         self.misses.fetch_add(1, Ordering::Relaxed);
+        meter.misses.set(meter.misses.get() + 1);
         v
     }
 
@@ -188,12 +165,6 @@ impl PredictionCache {
     /// Lookups that had to run the underlying models.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Resets hit/miss counters (entries are kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 
     /// Drops every memoized entry. Must be called whenever the underlying
@@ -216,6 +187,40 @@ impl PredictionCache {
     }
 }
 
+/// One caller's share of the predictor's query accounting: the queries
+/// it issued and how the memo cache answered its lookups. A search owns
+/// one meter per pass and hands it to every counted predictor path, so
+/// its stats never include another thread's queries. The counts are
+/// exact; the hit/miss *split* still depends on what other users of a
+/// shared memo cached first.
+#[derive(Debug, Default)]
+pub struct QueryMeter {
+    queries: Cell<u64>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl QueryMeter {
+    /// Prediction queries issued (cached or not).
+    pub fn queries(&self) -> u64 {
+        self.queries.get()
+    }
+
+    /// Of this caller's cache lookups, those answered from the memo.
+    pub fn hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Of this caller's cache lookups, those that ran the models.
+    pub fn misses(&self) -> u64 {
+        self.misses.get()
+    }
+
+    pub(crate) fn add_query(&self) {
+        self.queries.set(self.queries.get() + 1);
+    }
+}
+
 /// Per-C1-slice snapshot of the latticed pruned sweep: the slab envelope
 /// the slice was scanned under (feasibility words and LS power rows, both
 /// flattened over `(F1, L1)`) and the exact slice outcome. The
@@ -234,14 +239,14 @@ pub struct SliceSnapshot {
     pub best: Option<(PairConfig, f64)>,
 }
 
-/// Bucket-delta state for the incremental re-search
-/// (`ConfigSearch::pruned`): the previous latticed sweep's per-slice
-/// envelopes and outcomes plus the identity — generation, budget, slab
-/// bracket, lattice shape — they were computed under. A new search whose
-/// identity matches and whose QPS bracket moved at most one bucket reuses
-/// every slice whose envelope is unchanged; anything else (drift,
-/// retrain, budget change, reshaped lattice) discards the state and runs
-/// the full sweep, which repopulates it.
+/// Bucket-delta state for the incremental re-search (the frontier-pruned
+/// strategy of `ConfigSearch::run`): the previous latticed sweep's
+/// per-slice envelopes and outcomes plus the identity — generation,
+/// budget, slab bracket, lattice shape — they were computed under. A new
+/// search whose identity matches and whose QPS bracket moved at most one
+/// bucket reuses every slice whose envelope is unchanged; anything else
+/// (drift, retrain, budget change, reshaped lattice) discards the state
+/// and runs the full sweep, which repopulates it.
 #[derive(Debug, Default)]
 pub struct IncrementalState {
     /// Predictor training generation of the stored sweep.
@@ -397,6 +402,7 @@ mod tests {
     #[test]
     fn memoizes_and_counts() {
         let cache = PredictionCache::new();
+        let meter = QueryMeter::default();
         let computed = AtomicUsize::new(0);
         let f = || {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -404,23 +410,25 @@ mod tests {
         };
         for _ in 0..5 {
             assert_eq!(
-                cache.get_or_compute(Family::BePower, 8, 1.8, 10, 0.0, f),
+                cache.get_or_compute(Family::BePower, 8, 1.8, 10, 0.0, &meter, f),
                 42.5
             );
         }
         assert_eq!(computed.load(Ordering::Relaxed), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 4);
+        assert_eq!((meter.hits(), meter.misses()), (4, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = PredictionCache::new();
-        let a = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 100.0, || 1.0);
-        let b = cache.get_or_compute(Family::BePower, 8, 1.8, 10, 100.0, || 2.0);
-        let c = cache.get_or_compute(Family::LsPower, 9, 1.8, 10, 100.0, || 3.0);
-        let d = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 101.0, || 4.0);
+        let m = QueryMeter::default();
+        let a = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 100.0, &m, || 1.0);
+        let b = cache.get_or_compute(Family::BePower, 8, 1.8, 10, 100.0, &m, || 2.0);
+        let c = cache.get_or_compute(Family::LsPower, 9, 1.8, 10, 100.0, &m, || 3.0);
+        let d = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 101.0, &m, || 4.0);
         assert_eq!((a, b, c, d), (1.0, 2.0, 3.0, 4.0));
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.misses(), 4);
@@ -429,46 +437,35 @@ mod tests {
     #[test]
     fn disabled_cache_always_computes() {
         let cache = PredictionCache::new();
+        let meter = QueryMeter::default();
         cache.set_enabled(false);
         let computed = AtomicUsize::new(0);
         for _ in 0..3 {
-            cache.get_or_compute(Family::BeThroughput, 4, 1.2, 4, 0.0, || {
+            cache.get_or_compute(Family::BeThroughput, 4, 1.2, 4, 0.0, &meter, || {
                 computed.fetch_add(1, Ordering::Relaxed);
                 0.5
             });
         }
         assert_eq!(computed.load(Ordering::Relaxed), 3);
         assert_eq!(cache.hits() + cache.misses(), 0);
+        assert_eq!(meter.hits() + meter.misses(), 0);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn clear_invalidates_entries_but_keeps_counters() {
         let cache = PredictionCache::new();
-        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
-        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 1.0);
+        let m = QueryMeter::default();
+        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, &m, || 1.0);
+        cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, &m, || 1.0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 1);
         // A cleared entry recomputes (and may return a new value, as after
         // retraining).
-        let v = cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, || 7.0);
+        let v = cache.get_or_compute(Family::LsFeasible, 8, 2.2, 10, 500.0, &m, || 7.0);
         assert_eq!(v, 7.0);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn qps_quantum_buckets_nearby_loads() {
-        let cache = PredictionCache::new();
-        cache.set_qps_quantum(100.0);
-        let a = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_000.0, || 1.0);
-        // 1 040 rounds to the same bucket as 1 000 → served from cache.
-        let b = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_040.0, || 2.0);
-        assert_eq!(a, b);
-        assert_eq!(cache.hits(), 1);
-        // 1 060 rounds to the next bucket → fresh compute.
-        let c = cache.get_or_compute(Family::LsPower, 8, 1.8, 10, 1_060.0, || 3.0);
-        assert_eq!(c, 3.0);
     }
 
     #[test]
@@ -483,6 +480,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let meter = QueryMeter::default();
                     for i in 0..200u32 {
                         let v = cache.get_or_compute(
                             Family::BeThroughput,
@@ -490,10 +488,13 @@ mod tests {
                             1.2 + (i % 10) as f64 * 0.1,
                             i % 20,
                             0.0,
+                            &meter,
                             || f64::from(i % 16) * 2.0,
                         );
                         assert_eq!(v, f64::from(i % 16) * 2.0);
                     }
+                    // Each thread's meter sees exactly its own lookups.
+                    assert_eq!(meter.hits() + meter.misses(), 200);
                 });
             }
         });

@@ -441,31 +441,18 @@ impl SturgeonController {
     }
 
     fn run_search(&mut self, qps: f64, t_s: f64, reason: SearchReason) -> PairConfig {
-        let outcome = {
-            let search = ConfigSearch::new(
-                &self.predictor,
-                self.spec.clone(),
-                self.budget_w,
-                self.params.search,
-            );
-            match self.params.search.strategy {
-                // Warm start from the previous successful search when the
-                // load drifted only a little (the common diurnal case): the
-                // C1 window re-scan costs a fraction of the full §V-B pass
-                // and falls back to it automatically when the seed no
-                // longer applies.
-                SearchStrategy::Heuristic => {
-                    let previous = self.warm_hint.as_ref().map(|(cfg, q)| (cfg, *q));
-                    search.best_config_warm(qps, previous)
-                }
-                // The table-driven branch-and-bound engine: exhaustive-
-                // equivalent results, with frontier seeds reused across
-                // intervals in the same QPS bucket.
-                SearchStrategy::FrontierPruned => {
-                    search.with_frontiers(&self.frontiers).pruned(qps)
-                }
-            }
-        };
+        // Heuristic: warm start from the previous successful search when
+        // the load drifted only a little (the common diurnal case).
+        // Pruned: frontier seeds and slice state reused across intervals.
+        let previous = self.warm_hint.as_ref().map(|(cfg, q)| (cfg, *q));
+        let outcome = ConfigSearch::new(
+            &self.predictor,
+            self.spec.clone(),
+            self.budget_w,
+            self.params.search,
+        )
+        .with_frontiers(&self.frontiers)
+        .run(qps, previous);
         self.pruned_candidates_total += outcome.stats.pruned_candidates;
         self.pruned_subspaces_total += outcome.stats.pruned_subspaces;
         self.frontier_reuses_total += outcome.stats.frontier_reuses;

@@ -18,7 +18,10 @@
 //! * [`search`] — the §V-B binary-search algorithm that finds, among all
 //!   feasible `<C1,F1,L1; C2,F2,L2>` configurations, the one maximizing
 //!   BE throughput — in O(N log N) model calls instead of the O(N⁴)
-//!   exhaustive sweep.
+//!   exhaustive sweep. [`search::ConfigSearch::run`] is the one entry
+//!   point (heuristic or frontier-pruned engine, per
+//!   [`search::SearchParams::strategy`]); `exhaustive_serial` and
+//!   `exhaustive_latticed` are the two serial test oracles.
 //! * [`balancer`] — the preference-aware resource balancer (Algorithm 2):
 //!   binary-harvest compensation for QoS violations the predictor cannot
 //!   foresee (unmanaged-resource contention, OS jitter).

@@ -50,11 +50,13 @@ pub enum TraceEvent {
         qps: f64,
         /// What triggered the search.
         reason: SearchReason,
-        /// Prediction queries consumed (cached or not).
+        /// Prediction queries this search issued (cached or not).
         model_calls: u64,
-        /// Of `model_calls`, answered from the prediction memo cache.
+        /// Of this search's cache lookups, those answered from the memo.
+        /// The hit/miss split depends on scheduling when the memo is
+        /// shared (fleet shards on one predictor); their sum does not.
         cache_hits: u64,
-        /// Of `model_calls`, answered by running the models.
+        /// Of this search's cache lookups, those that ran the models.
         cache_misses: u64,
         /// Candidate configurations fully evaluated.
         candidates: usize,

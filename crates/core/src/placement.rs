@@ -11,8 +11,8 @@
 //! shard) and returns a [`PlacementPlan`] of assign/migrate/evict
 //! actions. Candidates are scored with the same machinery the per-node
 //! controller trusts — the §V-B search over the predictor (table-backed
-//! under [`SearchStrategy::FrontierPruned`], where the `ModelTables`
-//! lattices drive the pruning) — times a **co-runner interference
+//! under [`crate::search::SearchStrategy::FrontierPruned`], where the
+//! `ModelTables` lattices drive the pruning) — times a **co-runner interference
 //! score** ([`co_runner_score`]): jobs multiplexed onto one BE
 //! partition contribute diminishing throughput, the scoring-mechanism
 //! template from the large-cluster interference literature.
@@ -34,7 +34,7 @@
 use crate::experiment::{ColocationPair, ExperimentSetup};
 use crate::predictor::PerfPowerPredictor;
 use crate::scoring::{catalog_sigma, SetScorer};
-use crate::search::{ConfigSearch, SearchParams, SearchStrategy};
+use crate::search::{ConfigSearch, SearchParams};
 use std::sync::Arc;
 use sturgeon_simnode::{NodeSpec, PairConfig};
 use sturgeon_workloads::catalog::{BeAppId, LsServiceId};
@@ -319,11 +319,9 @@ impl ScoredPlacementEngine {
     /// predicted best feasible BE throughput at the unit's load under
     /// its *current effective cap*, per node, times the node count.
     fn modeled_value(&self, unit: &UnitView) -> f64 {
-        let search = ConfigSearch::new(&self.predictor, self.spec.clone(), unit.cap_w, self.search);
-        let outcome = match self.search.strategy {
-            SearchStrategy::Heuristic => search.best_config(unit.qps_per_node),
-            SearchStrategy::FrontierPruned => search.pruned(unit.qps_per_node),
-        };
+        let outcome =
+            ConfigSearch::new(&self.predictor, self.spec.clone(), unit.cap_w, self.search)
+                .run(unit.qps_per_node, None);
         outcome.predicted_throughput * unit.nodes as f64
     }
 
@@ -593,9 +591,9 @@ impl BePlacer {
             .candidates
             .iter()
             .map(|(be, predictor)| {
-                let search =
-                    ConfigSearch::new(predictor, self.spec.clone(), cap_w, SearchParams::default());
-                let outcome = search.best_config(qps);
+                let outcome =
+                    ConfigSearch::new(predictor, self.spec.clone(), cap_w, SearchParams::default())
+                        .run(qps, None);
                 PlacementDecision {
                     be: *be,
                     config: outcome.best,

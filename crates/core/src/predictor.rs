@@ -18,7 +18,7 @@
 //! comparison (DT, KNN, SV, MLP, logistic/linear regression) and the
 //! Lasso feature-selection step of §V-A.
 
-use crate::cache::{Family, PredictionCache};
+use crate::cache::{Family, PredictionCache, QueryMeter};
 use crate::profiler::{features, ProfileDatasets, FEATURE_DIM};
 use crate::tables::{LsSlab, LsSlabs, ModelTables};
 use parking_lot::Mutex;
@@ -264,8 +264,10 @@ impl PerfPowerPredictor {
         })
     }
 
-    fn count(&self) {
+    /// Counts one query in both the lifetime total and the caller's meter.
+    fn count(&self, meter: &QueryMeter) {
         self.predictions.fetch_add(1, Ordering::Relaxed);
+        meter.add_query();
     }
 
     /// Total prediction queries answered since construction or the last
@@ -281,7 +283,7 @@ impl PerfPowerPredictor {
         self.predictions.store(0, Ordering::Relaxed);
     }
 
-    /// The prediction memo cache (enable/disable, quantum, accounting).
+    /// The prediction memo cache (enable/disable, accounting).
     pub fn cache(&self) -> &PredictionCache {
         &self.cache
     }
@@ -346,13 +348,11 @@ impl PerfPowerPredictor {
     /// The flattened QPS-independent model tables for `spec`, built on
     /// first use and cached until the next retrain (or a different spec).
     ///
-    /// Entries are computed by the same paths as
-    /// [`be_throughput`](Self::be_throughput) / [`be_power_w`](Self::be_power_w)
-    /// — same features, clamps and margins — so a table lookup is
-    /// bit-identical to the model call it replaces. The build itself runs
-    /// the raw models directly: it neither advances the prediction counter
-    /// nor touches the memo cache, keeping §VII-E per-search accounting
-    /// clean.
+    /// Entries are computed by the same private functions as
+    /// [`be_throughput`](Self::be_throughput) / [`be_power_w`](Self::be_power_w),
+    /// so a table lookup is bit-identical to the model call it replaces.
+    /// The build neither advances the prediction counter nor touches the
+    /// memo cache.
     pub fn model_tables(&self, spec: &NodeSpec) -> Arc<ModelTables> {
         let generation = self.generation();
         let mut slot = self.tables.lock();
@@ -365,17 +365,8 @@ impl PerfPowerPredictor {
             spec,
             generation,
             self.static_power_w,
-            |cores, freq_ghz, ways| {
-                self.be_perf
-                    .predict(&features(self.be_input_level, cores, freq_ghz, ways))
-                    .max(0.0)
-            },
-            |cores, freq_ghz| {
-                self.be_power
-                    .predict(&features(self.be_input_level, cores, freq_ghz, 0))
-                    .max(0.0)
-                    * (1.0 + self.config.power_margin)
-            },
+            |cores, freq_ghz, ways| self.compute_be_throughput(cores, freq_ghz, ways),
+            |cores, freq_ghz| self.compute_be_power_w(cores, freq_ghz),
         ));
         *slot = Some(Arc::clone(&built));
         self.table_builds.fetch_add(1, Ordering::Relaxed);
@@ -388,25 +379,45 @@ impl PerfPowerPredictor {
         self.table_builds.load(Ordering::Relaxed)
     }
 
-    /// The raw (uncounted, unmemoized) compute path behind
-    /// [`ls_feasible`](Self::ls_feasible) — domain check, guarded load,
-    /// classifier + latency veto. Slab construction runs this directly so
-    /// lattice entries are bit-identical to live calls without disturbing
-    /// §VII-E per-search accounting.
-    fn raw_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
-        if qps > 1.1 * self.max_trained_qps {
-            return false;
-        }
+    /// Loads beyond the profiled domain (plus 10% headroom) are never
+    /// promised QoS: the model would be extrapolating.
+    fn beyond_domain(&self, qps: f64) -> bool {
+        qps > 1.1 * self.max_trained_qps
+    }
+
+    // One compute function per model family. The memoized query paths,
+    // the model tables and the QPS slabs all call these, so table and
+    // slab cells are bit-identical to live queries by construction.
+
+    /// LS QoS verdict at the guarded load. Dual check: the classifier
+    /// answers the paper's yes/no question, and the instance-based latency
+    /// regressor vetoes feasible islands the tree may hallucinate far from
+    /// any training sample.
+    fn compute_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
         let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
         let x = features(guarded, cores, freq_ghz, ways);
         self.ls_qos.predict_label(&x) && self.ls_latency.predict(&x) <= self.qos_target_ms
     }
 
-    /// The raw compute path behind [`ls_power_w`](Self::ls_power_w) —
-    /// same clamp and margin, no counter or memo side effects.
-    fn raw_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
+    /// LS partition power (W), margin included.
+    fn compute_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
         self.ls_power
             .predict(&features(qps, cores, freq_ghz, ways))
+            .max(0.0)
+            * (1.0 + self.config.power_margin)
+    }
+
+    /// Normalized BE throughput.
+    fn compute_be_throughput(&self, cores: u32, freq_ghz: f64, ways: u32) -> f64 {
+        self.be_perf
+            .predict(&features(self.be_input_level, cores, freq_ghz, ways))
+            .max(0.0)
+    }
+
+    /// BE partition power (W), margin included; the model ignores ways.
+    fn compute_be_power_w(&self, cores: u32, freq_ghz: f64) -> f64 {
+        self.be_power
+            .predict(&features(self.be_input_level, cores, freq_ghz, 0))
             .max(0.0)
             * (1.0 + self.config.power_margin)
     }
@@ -447,15 +458,17 @@ impl PerfPowerPredictor {
     }
 
     /// The slab for one bucket of the family, built on first use by
-    /// sweeping the raw LS model paths over the full `(C1, F1, L1)`
+    /// sweeping the LS compute functions over the full `(C1, F1, L1)`
     /// lattice. Neither the build nor later lookups advance the
     /// prediction counter or touch the memo cache.
     pub fn ls_slab(&self, spec: &NodeSpec, slabs: &LsSlabs, bucket: u64) -> Arc<LsSlab> {
         slabs.slab(
             spec,
             bucket,
-            |cores, freq_ghz, ways, qps| self.raw_ls_feasible(cores, freq_ghz, ways, qps),
-            |cores, freq_ghz, ways, qps| self.raw_ls_power_w(cores, freq_ghz, ways, qps),
+            |cores, freq_ghz, ways, qps| {
+                !self.beyond_domain(qps) && self.compute_ls_feasible(cores, freq_ghz, ways, qps)
+            },
+            |cores, freq_ghz, ways, qps| self.compute_ls_power_w(cores, freq_ghz, ways, qps),
         )
     }
 
@@ -468,52 +481,85 @@ impl PerfPowerPredictor {
 
     /// Does `<cores, freq, ways>` meet the LS QoS target at `qps`?
     pub fn ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
-        self.count();
-        if qps > 1.1 * self.max_trained_qps {
-            // Never extrapolate a QoS promise beyond the profiled domain.
+        self.ls_feasible_metered(cores, freq_ghz, ways, qps, &QueryMeter::default())
+    }
+
+    /// [`ls_feasible`](Self::ls_feasible), also counted in `meter`.
+    pub(crate) fn ls_feasible_metered(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        qps: f64,
+        meter: &QueryMeter,
+    ) -> bool {
+        self.count(meter);
+        if self.beyond_domain(qps) {
             // Cheap domain check — not worth a cache slot.
             return false;
         }
         // The feasibility verdict consumes two model rounds (classifier +
         // latency veto); the counter tracks queries, so it advances by two
         // whether the verdict is recomputed or memoized.
-        self.count();
-        self.cache
-            .get_or_compute(Family::LsFeasible, cores, freq_ghz, ways, qps, || {
-                let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
-                let x = features(guarded, cores, freq_ghz, ways);
-                // Dual check: the classifier answers the paper's yes/no
-                // question, and the instance-based latency regressor vetoes
-                // feasible islands the tree may hallucinate far from any
-                // training sample.
-                let ok = self.ls_qos.predict_label(&x)
-                    && self.ls_latency.predict(&x) <= self.qos_target_ms;
-                f64::from(u8::from(ok))
-            })
-            != 0.0
+        self.count(meter);
+        self.cache.get_or_compute(
+            Family::LsFeasible,
+            cores,
+            freq_ghz,
+            ways,
+            qps,
+            meter,
+            || {
+                f64::from(u8::from(
+                    self.compute_ls_feasible(cores, freq_ghz, ways, qps),
+                ))
+            },
+        ) != 0.0
     }
 
     /// Predicted LS partition power (W), margin included.
     pub fn ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
-        self.count();
+        self.ls_power_w_metered(cores, freq_ghz, ways, qps, &QueryMeter::default())
+    }
+
+    fn ls_power_w_metered(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        qps: f64,
+        meter: &QueryMeter,
+    ) -> f64 {
+        self.count(meter);
         self.cache
-            .get_or_compute(Family::LsPower, cores, freq_ghz, ways, qps, || {
-                self.ls_power
-                    .predict(&features(qps, cores, freq_ghz, ways))
-                    .max(0.0)
-                    * (1.0 + self.config.power_margin)
+            .get_or_compute(Family::LsPower, cores, freq_ghz, ways, qps, meter, || {
+                self.compute_ls_power_w(cores, freq_ghz, ways, qps)
             })
     }
 
     /// Predicted BE throughput (normalized to the solo run).
     pub fn be_throughput(&self, cores: u32, freq_ghz: f64, ways: u32) -> f64 {
-        self.count();
-        self.cache
-            .get_or_compute(Family::BeThroughput, cores, freq_ghz, ways, 0.0, || {
-                self.be_perf
-                    .predict(&features(self.be_input_level, cores, freq_ghz, ways))
-                    .max(0.0)
-            })
+        self.be_throughput_metered(cores, freq_ghz, ways, &QueryMeter::default())
+    }
+
+    /// [`be_throughput`](Self::be_throughput), also counted in `meter`.
+    pub(crate) fn be_throughput_metered(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        ways: u32,
+        meter: &QueryMeter,
+    ) -> f64 {
+        self.count(meter);
+        self.cache.get_or_compute(
+            Family::BeThroughput,
+            cores,
+            freq_ghz,
+            ways,
+            0.0,
+            meter,
+            || self.compute_be_throughput(cores, freq_ghz, ways),
+        )
     }
 
     /// Predicted BE partition power (W), margin included.
@@ -525,30 +571,39 @@ impl PerfPowerPredictor {
     /// frequency, not its cache partition. The cache key normalizes `ways`
     /// to 0 for the same reason, so every way count hits one entry.
     pub fn be_power_w(&self, cores: u32, freq_ghz: f64, _ways: u32) -> f64 {
-        self.count();
+        self.be_power_w_metered(cores, freq_ghz, &QueryMeter::default())
+    }
+
+    fn be_power_w_metered(&self, cores: u32, freq_ghz: f64, meter: &QueryMeter) -> f64 {
+        self.count(meter);
         self.cache
-            .get_or_compute(Family::BePower, cores, freq_ghz, 0, 0.0, || {
-                self.be_power
-                    .predict(&features(self.be_input_level, cores, freq_ghz, 0))
-                    .max(0.0)
-                    * (1.0 + self.config.power_margin)
+            .get_or_compute(Family::BePower, cores, freq_ghz, 0, 0.0, meter, || {
+                self.compute_be_power_w(cores, freq_ghz)
             })
     }
 
     /// Predicted total node power for a pair configuration (W).
     pub fn total_power_w(&self, config: &PairConfig, spec: &NodeSpec, qps: f64) -> f64 {
+        self.total_power_w_metered(config, spec, qps, &QueryMeter::default())
+    }
+
+    /// [`total_power_w`](Self::total_power_w), also counted in `meter`.
+    pub(crate) fn total_power_w_metered(
+        &self,
+        config: &PairConfig,
+        spec: &NodeSpec,
+        qps: f64,
+        meter: &QueryMeter,
+    ) -> f64 {
         self.static_power_w
-            + self.ls_power_w(
+            + self.ls_power_w_metered(
                 config.ls.cores,
                 config.ls.freq_ghz(spec),
                 config.ls.llc_ways,
                 qps,
+                meter,
             )
-            + self.be_power_w(
-                config.be.cores,
-                config.be.freq_ghz(spec),
-                config.be.llc_ways,
-            )
+            + self.be_power_w_metered(config.be.cores, config.be.freq_ghz(spec), meter)
     }
 
     /// Feasibility per the paper's definition: QoS met *and* power within

@@ -1739,16 +1739,13 @@ impl Scenario {
             for &frac in &probe.load_fractions {
                 let qps = frac * setup.peak_qps();
                 for _ in 0..probe.reps.max(1) {
-                    let search = ConfigSearch::new(
+                    let outcome = ConfigSearch::new(
                         predictor.as_ref(),
                         setup.spec().clone(),
                         setup.budget_w(),
                         params,
-                    );
-                    let outcome = match params.strategy {
-                        SearchStrategy::Heuristic => search.best_config(qps),
-                        SearchStrategy::FrontierPruned => search.pruned(qps),
-                    };
+                    )
+                    .run(qps, None);
                     durations_us.push(outcome.stats.duration.as_secs_f64() * 1e6);
                     model_calls += outcome.stats.model_calls;
                     candidates += outcome.stats.candidates as u64;

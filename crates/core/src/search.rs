@@ -14,10 +14,18 @@
 //!    until the BE application reaches maximum frequency;
 //! 5. pick the candidate with the highest predicted BE throughput.
 //!
-//! An exhaustive-search oracle is provided for the §VII-E overhead
-//! comparison and for validating the fast path in tests.
+//! [`ConfigSearch::run`] is the one way to search: it runs the engine
+//! [`SearchParams::strategy`] selects — this heuristic, or the
+//! frontier-pruned engine below. Two serial reference sweeps exist for
+//! the §VII-E overhead comparison and the equivalence tests:
+//! [`ConfigSearch::exhaustive_serial`], the live O(N⁴) oracle, and
+//! [`ConfigSearch::exhaustive_latticed`], the envelope oracle.
 //!
-//! ## The frontier-pruned engine ([`ConfigSearch::pruned`])
+//! Every search owns its [`SearchStats`]: each pass hands its own
+//! [`QueryMeter`] to the counted predictor paths, so the counts never
+//! include queries another thread issued on a shared predictor.
+//!
+//! ## The frontier-pruned engine ([`SearchStrategy::FrontierPruned`])
 //!
 //! The heuristic above is fast but inexact: it only visits minimal-LS
 //! frontier points. The pruned engine runs a fully *latticed* sweep — the
@@ -65,15 +73,14 @@
 //! other slices, which is what makes reusing them across intervals sound;
 //! the C1-ordered fold reproduces the oracle's global tie-break exactly.
 
-use crate::cache::{FrontierCache, IncrementalState, SliceSnapshot};
+use crate::cache::{FrontierCache, IncrementalState, QueryMeter, SliceSnapshot};
 use crate::predictor::PerfPowerPredictor;
 use crate::tables::{LsSlab, ModelTables};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sturgeon_simnode::{Allocation, NodeSpec, PairConfig};
 
-/// Which engine the controller's per-interval search runs.
+/// Which engine [`ConfigSearch::run`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategy {
     /// The paper's §V-B bisection heuristic with warm starts — the
@@ -108,16 +115,14 @@ pub struct SearchParams {
     /// max-frequency edge of the trained domain), the same way RAPL
     /// deployments keep a guard band under the package limit.
     pub power_guard: f64,
-    /// Maximum relative load drift under which
-    /// [`ConfigSearch::best_config_warm`] trusts the previous interval's
-    /// configuration as a seed; beyond it the warm path falls back to the
-    /// full §V-B search.
+    /// Maximum relative load drift under which the heuristic strategy of
+    /// [`ConfigSearch::run`] trusts the previous interval's configuration
+    /// as a seed; beyond it the search runs the full §V-B scan.
     pub warm_start_drift: f64,
     /// Half-width of the C1 window scanned around the previous
     /// configuration's LS core count on the warm path.
     pub warm_start_window: u32,
-    /// Which engine [`crate::controller::SturgeonController`] dispatches
-    /// its per-interval searches to.
+    /// Which engine [`ConfigSearch::run`] runs.
     pub strategy: SearchStrategy,
 }
 
@@ -136,17 +141,26 @@ impl Default for SearchParams {
 }
 
 /// Instrumentation for the §VII-E overhead accounting.
+///
+/// The counters are owned by the search: they count only the queries this
+/// search issued, whatever else runs on the same predictor. `model_calls`
+/// and `cache_hits + cache_misses` are therefore deterministic. The
+/// hit/miss *split* is not when the memo cache is shared (fleet shards
+/// on one predictor, concurrent tests): whether a lookup hits depends on
+/// what other searches cached first.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Prediction queries consumed by the search (cached or not).
+    /// Prediction queries consumed by the search (cached or not). An
+    /// in-domain `ls_feasible` verdict counts two; an out-of-domain one
+    /// counts one.
     pub model_calls: u64,
     /// Candidate configurations fully evaluated.
     pub candidates: usize,
     /// Wall-clock duration of the search.
     pub duration: Duration,
-    /// Of `model_calls`, queries answered from the prediction memo cache.
+    /// Of the search's cache lookups, those answered from the memo.
     pub cache_hits: u64,
-    /// Of `model_calls`, queries that ran the underlying models.
+    /// Of the search's cache lookups, those that ran the models.
     pub cache_misses: u64,
     /// Pruned engine only: lattice cells skipped because their admissible
     /// table bound proved they cannot win.
@@ -256,10 +270,11 @@ impl<'p> ConfigSearch<'p> {
         }
     }
 
-    /// Attaches a cross-interval frontier cache: [`pruned`](Self::pruned)
-    /// will seed its incumbent from the cache's quantized-QPS bucket (after
-    /// revalidating it at the live load) and store its winner back. Results
-    /// are unchanged with or without the cache — only the warm-up cost is.
+    /// Attaches a cross-interval frontier cache: the frontier-pruned
+    /// strategy of [`run`](Self::run) will seed its incumbent from the
+    /// cache's quantized-QPS bucket (after revalidating it at the live
+    /// load) and store its winner back. Results are unchanged with or
+    /// without the cache — only the warm-up cost is.
     pub fn with_frontiers(mut self, cache: &'p FrontierCache) -> Self {
         self.frontiers = Some(cache);
         self
@@ -279,9 +294,9 @@ impl<'p> ConfigSearch<'p> {
         self.spec.total_llc_ways - self.params.min_be_ways
     }
 
-    fn ls_ok(&self, c1: u32, level: usize, l1: u32, qps: f64) -> bool {
+    fn ls_ok(&self, c1: u32, level: usize, l1: u32, qps: f64, meter: &QueryMeter) -> bool {
         self.predictor
-            .ls_feasible(c1, self.spec.freq_ghz(level), l1, qps)
+            .ls_feasible_metered(c1, self.spec.freq_ghz(level), l1, qps, meter)
     }
 
     /// Consistency-checked feasibility: performance is monotone in every
@@ -289,18 +304,18 @@ impl<'p> ConfigSearch<'p> {
     /// with one more frequency step, way, or core. Isolated "feasible
     /// islands" produced by classifier noise fail this probe and are
     /// rejected rather than trusted by the binary search.
-    fn ls_trusted(&self, c1: u32, level: usize, l1: u32, qps: f64) -> bool {
-        if !self.ls_ok(c1, level, l1, qps) {
+    fn ls_trusted(&self, c1: u32, level: usize, l1: u32, qps: f64, meter: &QueryMeter) -> bool {
+        if !self.ls_ok(c1, level, l1, qps, meter) {
             return false;
         }
         let top = self.spec.max_freq_level();
-        if level < top && !self.ls_ok(c1, level + 1, l1, qps) {
+        if level < top && !self.ls_ok(c1, level + 1, l1, qps, meter) {
             return false;
         }
-        if l1 < self.max_l1() && !self.ls_ok(c1, level, l1 + 1, qps) {
+        if l1 < self.max_l1() && !self.ls_ok(c1, level, l1 + 1, qps, meter) {
             return false;
         }
-        if c1 < self.max_c1() && !self.ls_ok(c1 + 1, level, l1, qps) {
+        if c1 < self.max_c1() && !self.ls_ok(c1 + 1, level, l1, qps, meter) {
             return false;
         }
         true
@@ -309,11 +324,18 @@ impl<'p> ConfigSearch<'p> {
     /// Completes a fixed `<C1, L1>` choice into a full candidate: minimal
     /// F1 for QoS, complement for the BE side, maximal F2 under the
     /// budget. Returns the configuration with its predicted BE throughput.
-    fn candidate_for_c1_l1(&self, c1: u32, l1: u32, qps: f64) -> Option<(PairConfig, f64)> {
+    fn candidate_for_c1_l1(
+        &self,
+        c1: u32,
+        l1: u32,
+        qps: f64,
+        meter: &QueryMeter,
+    ) -> Option<(PairConfig, f64)> {
         let top = self.spec.max_freq_level();
         // Minimal frequency at this way count.
-        let f1 =
-            least_satisfying(0, top as u32, |f| self.ls_trusted(c1, f as usize, l1, qps))? as usize;
+        let f1 = least_satisfying(0, top as u32, |f| {
+            self.ls_trusted(c1, f as usize, l1, qps, meter)
+        })? as usize;
         let ls = Allocation::new(c1, f1, l1);
         let c2 = self.spec.total_cores - c1;
         let l2 = self.spec.total_llc_ways - l1;
@@ -322,10 +344,14 @@ impl<'p> ConfigSearch<'p> {
         let qps_power = qps * (1.0 + self.params.power_load_headroom);
         let f2 = greatest_satisfying(0, top as u32, |f| {
             let cfg = PairConfig::new(ls, Allocation::new(c2, f as usize, l2));
-            self.predictor.total_power_w(&cfg, &self.spec, qps_power) <= self.guarded_budget()
+            self.predictor
+                .total_power_w_metered(&cfg, &self.spec, qps_power, meter)
+                <= self.guarded_budget()
         })? as usize;
         let cfg = PairConfig::new(ls, Allocation::new(c2, f2, l2));
-        let t = self.predictor.be_throughput(c2, self.spec.freq_ghz(f2), l2);
+        let t = self
+            .predictor
+            .be_throughput_metered(c2, self.spec.freq_ghz(f2), l2, meter);
         Some((cfg, t))
     }
 
@@ -337,17 +363,19 @@ impl<'p> ConfigSearch<'p> {
     /// can buy the BE partition a higher frequency. A short geometric
     /// ladder of L1 values above the minimum covers that trade-off with
     /// O(1) extra binary searches.
-    fn candidate_for_c1(&self, c1: u32, qps: f64) -> Option<(PairConfig, f64)> {
+    fn candidate_for_c1(&self, c1: u32, qps: f64, meter: &QueryMeter) -> Option<(PairConfig, f64)> {
         let top = self.spec.max_freq_level();
         // Minimal LLC ways at maximum frequency.
-        let l1_min = least_satisfying(1, self.max_l1(), |l| self.ls_trusted(c1, top, l, qps))?;
+        let l1_min = least_satisfying(1, self.max_l1(), |l| {
+            self.ls_trusted(c1, top, l, qps, meter)
+        })?;
         let mut best: Option<(PairConfig, f64)> = None;
         for step in [0u32, 2, 6, 14] {
             let l1 = l1_min + step;
             if l1 > self.max_l1() {
                 break;
             }
-            let Some((cfg, t)) = self.candidate_for_c1_l1(c1, l1, qps) else {
+            let Some((cfg, t)) = self.candidate_for_c1_l1(c1, l1, qps, meter) else {
                 continue;
             };
             if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
@@ -357,57 +385,35 @@ impl<'p> ConfigSearch<'p> {
         best
     }
 
-    /// Snapshot of the predictor's counters taken when a search starts;
-    /// [`finish`](Self::finish) turns it into a [`SearchStats`] delta.
-    fn meter(&self) -> (Instant, u64, u64, u64) {
-        (
-            Instant::now(),
-            self.predictor.prediction_count(),
-            self.predictor.cache_hits(),
-            self.predictor.cache_misses(),
-        )
-    }
-
+    /// Packs one pass's result with the stats it owns: `meter` holds
+    /// exactly the queries this pass issued.
     fn finish(
-        &self,
-        meter: (Instant, u64, u64, u64),
-        best: Option<(PairConfig, f64)>,
-        candidates: usize,
-    ) -> SearchOutcome {
-        self.finish_pruned(meter, best, candidates, PruneTally::default())
-    }
-
-    fn finish_pruned(
-        &self,
-        meter: (Instant, u64, u64, u64),
+        started: Instant,
+        meter: &QueryMeter,
         best: Option<(PairConfig, f64)>,
         candidates: usize,
         tally: PruneTally,
     ) -> SearchOutcome {
-        let (started, calls, hits, misses) = meter;
         let stats = SearchStats {
-            model_calls: self.predictor.prediction_count() - calls,
+            model_calls: meter.queries(),
             candidates,
             duration: started.elapsed(),
-            cache_hits: self.predictor.cache_hits() - hits,
-            cache_misses: self.predictor.cache_misses() - misses,
+            cache_hits: meter.hits(),
+            cache_misses: meter.misses(),
             pruned_candidates: tally.cells,
             pruned_subspaces: tally.slices,
             frontier_reuses: tally.frontier_reuses,
             incremental_slices_reused: tally.incremental_reused,
             incremental_slices_rescanned: tally.incremental_rescanned,
         };
-        match best {
-            Some((cfg, t)) => SearchOutcome {
-                best: Some(cfg),
-                predicted_throughput: t,
-                stats,
-            },
-            None => SearchOutcome {
-                best: None,
-                predicted_throughput: 0.0,
-                stats,
-            },
+        let (best, predicted_throughput) = match best {
+            Some((cfg, t)) => (Some(cfg), t),
+            None => (None, 0.0),
+        };
+        SearchOutcome {
+            best,
+            predicted_throughput,
+            stats,
         }
     }
 
@@ -431,13 +437,14 @@ impl<'p> ConfigSearch<'p> {
         hi: u32,
         qps: f64,
         early_break: bool,
+        meter: &QueryMeter,
     ) -> (Option<(PairConfig, f64)>, usize) {
         let top = self.spec.max_freq_level();
         let mut tables = None;
         let mut best: Option<(PairConfig, f64)> = None;
         let mut candidates = 0usize;
         for c1 in lo..=hi {
-            let Some((cfg, t)) = self.candidate_for_c1(c1, qps) else {
+            let Some((cfg, t)) = self.candidate_for_c1(c1, qps, meter) else {
                 continue;
             };
             candidates += 1;
@@ -459,154 +466,119 @@ impl<'p> ConfigSearch<'p> {
         (best, candidates)
     }
 
-    /// The §V-B binary search: O(N log N) model calls.
-    pub fn best_config(&self, qps: f64) -> SearchOutcome {
-        let meter = self.meter();
+    /// Runs one search at load `qps` with the engine
+    /// [`SearchParams::strategy`] selects. This is the one entry point
+    /// the controller, placement and the scenario probes use.
+    ///
+    /// * [`SearchStrategy::Heuristic`]: the §V-B binary search, O(N log N)
+    ///   model calls. `previous` is the configuration an earlier search
+    ///   chose and the load it chose it for. When the load has drifted
+    ///   less than [`SearchParams::warm_start_drift`] since then, the
+    ///   optimal LS core count can only have moved a step or two, so only
+    ///   a `± warm_start_window` C1 window around the previous choice is
+    ///   rebuilt. Any doubt — large drift, no feasible candidate in the
+    ///   window — runs the full scan, so the warm path never returns
+    ///   `None` where the cold path would find a configuration.
+    /// * [`SearchStrategy::FrontierPruned`]: the latticed engine of the
+    ///   module docs, using the [`FrontierCache`] when one is attached
+    ///   ([`with_frontiers`](Self::with_frontiers)); `previous` is unused.
+    pub fn run(&self, qps: f64, previous: Option<(&PairConfig, f64)>) -> SearchOutcome {
+        match self.params.strategy {
+            SearchStrategy::Heuristic => self.heuristic(qps, previous),
+            SearchStrategy::FrontierPruned => self.pruned(qps),
+        }
+    }
+
+    /// The heuristic strategy of [`run`](Self::run). A warm window that
+    /// finds nothing is discarded: the full scan reports only its own work.
+    fn heuristic(&self, qps: f64, previous: Option<(&PairConfig, f64)>) -> SearchOutcome {
+        let started = Instant::now();
+        let meter = QueryMeter::default();
+        if let Some((prev, prev_qps)) = previous {
+            let drift = (qps - prev_qps).abs() / prev_qps.max(1.0);
+            if drift <= self.params.warm_start_drift {
+                let w = self.params.warm_start_window;
+                let lo = prev.ls.cores.saturating_sub(w).max(1);
+                let hi = (prev.ls.cores + w).min(self.max_c1());
+                let (best, candidates) = self.scan_c1_window(lo, hi, qps, true, &meter);
+                if best.is_none() {
+                    // The previous neighbourhood no longer contains a
+                    // feasible point (e.g. load rose past what ± window
+                    // cores can absorb).
+                    return self.heuristic(qps, None);
+                }
+                return Self::finish(started, &meter, best, candidates, PruneTally::default());
+            }
+        }
         let top = self.spec.max_freq_level();
 
         // Step 1: minimum C1 at maximum frequency and cache.
         let c1_min = least_satisfying(1, self.max_c1(), |c| {
-            self.ls_trusted(c, top, self.max_l1(), qps)
+            self.ls_trusted(c, top, self.max_l1(), qps, &meter)
         });
 
         // Steps 2–4: grow C1, rebuilding each candidate, until the BE
         // partition reaches maximum frequency and the table bound closes.
         let (best, candidates) = match c1_min {
-            Some(c1_min) => self.scan_c1_window(c1_min, self.max_c1(), qps, true),
+            Some(c1_min) => self.scan_c1_window(c1_min, self.max_c1(), qps, true, &meter),
             None => (None, 0),
         };
 
-        self.finish(meter, best, candidates)
+        Self::finish(started, &meter, best, candidates, PruneTally::default())
     }
 
-    /// Warm-started §V-B search: when the load has drifted less than
-    /// [`SearchParams::warm_start_drift`] since `previous` was found, the
-    /// optimal LS core count can only have moved a step or two, so only a
-    /// `± warm_start_window` C1 window around the previous choice is
-    /// rebuilt instead of re-running the full C1 scan. Any doubt — large
-    /// drift, no feasible candidate in the window — falls back to
-    /// [`best_config`](Self::best_config), so the warm path never returns
-    /// `None` where the cold path would find a configuration.
-    pub fn best_config_warm(
-        &self,
-        qps: f64,
-        previous: Option<(&PairConfig, f64)>,
-    ) -> SearchOutcome {
-        let Some((prev, prev_qps)) = previous else {
-            return self.best_config(qps);
-        };
-        let drift = (qps - prev_qps).abs() / prev_qps.max(1.0);
-        if drift > self.params.warm_start_drift {
-            return self.best_config(qps);
-        }
-        let meter = self.meter();
-        let w = self.params.warm_start_window;
-        let lo = prev.ls.cores.saturating_sub(w).max(1);
-        let hi = (prev.ls.cores + w).min(self.max_c1());
-
-        let (best, candidates) = self.scan_c1_window(lo, hi, qps, true);
-        if best.is_none() {
-            // The previous neighbourhood no longer contains a feasible
-            // point (e.g. load rose past what ± window cores can absorb).
-            return self.best_config(qps);
-        }
-        self.finish(meter, best, candidates)
-    }
-
-    /// One C1 slice of the exhaustive sweep: every `<F1, L1, F2>` for the
-    /// fixed LS core count. Returns the slice's best candidate and how
-    /// many were fully evaluated.
-    fn exhaustive_slice(
-        &self,
-        c1: u32,
-        qps: f64,
-        qps_power: f64,
-    ) -> (Option<(PairConfig, f64)>, usize) {
+    /// The live oracle: the O(N⁴) exhaustive sweep of §VII-E over every
+    /// `<C1, F1, L1, F2>` (C2/L2 by subtraction), keeping the feasible
+    /// configuration with the highest predicted throughput. Serial, in
+    /// C1 order, with strict-`>` first-wins tie-breaking; the reference
+    /// for the heuristic's quality and, at slab centers, for the pruned
+    /// engine's bits.
+    pub fn exhaustive_serial(&self, qps: f64) -> SearchOutcome {
+        let started = Instant::now();
+        let meter = QueryMeter::default();
         let top = self.spec.max_freq_level();
-        let c2 = self.spec.total_cores - c1;
-        let mut best: Option<(PairConfig, f64)> = None;
-        let mut candidates = 0usize;
-        for f1 in 0..=top {
-            for l1 in 1..=self.max_l1() {
-                if !self.ls_ok(c1, f1, l1, qps) {
-                    continue;
-                }
-                let l2 = self.spec.total_llc_ways - l1;
-                for f2 in (0..=top).rev() {
-                    let cfg =
-                        PairConfig::new(Allocation::new(c1, f1, l1), Allocation::new(c2, f2, l2));
-                    if self.predictor.total_power_w(&cfg, &self.spec, qps_power)
-                        > self.guarded_budget()
-                    {
-                        continue;
-                    }
-                    candidates += 1;
-                    let t = self.predictor.be_throughput(c2, self.spec.freq_ghz(f2), l2);
-                    if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                        best = Some((cfg, t));
-                    }
-                    break; // lower F2 is strictly worse for this (c1,f1,l1)
-                }
-            }
-        }
-        (best, candidates)
-    }
-
-    /// In-C1-order reduction shared by the exhaustive and pruned sweeps:
-    /// keeps the serial path's first-best-wins tie-breaking (strict `>`),
-    /// so every engine returns the identical configuration.
-    fn reduce_slices(
-        slices: impl IntoIterator<Item = (Option<(PairConfig, f64)>, usize)>,
-    ) -> (Option<(PairConfig, f64)>, usize) {
-        let mut best: Option<(PairConfig, f64)> = None;
-        let mut candidates = 0usize;
-        for (slice_best, slice_candidates) in slices {
-            candidates += slice_candidates;
-            if let Some((cfg, t)) = slice_best {
-                if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
-                    best = Some((cfg, t));
-                }
-            }
-        }
-        (best, candidates)
-    }
-
-    fn exhaustive_impl(&self, qps: f64, parallel: bool) -> SearchOutcome {
-        let meter = self.meter();
         // Same drifted-load power check as the fast path, so both searches
         // answer the same feasibility question.
         let qps_power = qps * (1.0 + self.params.power_load_headroom);
-        // The C1 range feeds the slice map directly — no per-call
-        // candidate-list allocation in the search hot path. The per-slice
-        // results come back in C1 order on both paths.
-        let (best, candidates) = if parallel {
-            let slices: Vec<(Option<(PairConfig, f64)>, usize)> = (1..self.max_c1() + 1)
-                .into_par_iter()
-                .map(|c1| self.exhaustive_slice(c1, qps, qps_power))
-                .collect();
-            Self::reduce_slices(slices)
-        } else {
-            Self::reduce_slices(
-                (1..=self.max_c1()).map(|c1| self.exhaustive_slice(c1, qps, qps_power)),
-            )
-        };
-        self.finish(meter, best, candidates)
-    }
-
-    /// The O(N⁴) exhaustive oracle of §VII-E: sweep every
-    /// `<C1, F1, L1, F2>` (C2/L2 by subtraction) and keep the feasible
-    /// configuration with the highest predicted throughput. The C1 slices
-    /// are evaluated in parallel across the rayon pool; the result is
-    /// identical to [`exhaustive_serial`](Self::exhaustive_serial).
-    pub fn exhaustive(&self, qps: f64) -> SearchOutcome {
-        self.exhaustive_impl(qps, true)
-    }
-
-    /// Single-threaded exhaustive oracle — the baseline the
-    /// serial-vs-parallel Criterion bench compares against, and a
-    /// reference for the equivalence tests.
-    pub fn exhaustive_serial(&self, qps: f64) -> SearchOutcome {
-        self.exhaustive_impl(qps, false)
+        let mut best: Option<(PairConfig, f64)> = None;
+        let mut candidates = 0usize;
+        for c1 in 1..=self.max_c1() {
+            let c2 = self.spec.total_cores - c1;
+            for f1 in 0..=top {
+                for l1 in 1..=self.max_l1() {
+                    if !self.ls_ok(c1, f1, l1, qps, &meter) {
+                        continue;
+                    }
+                    let l2 = self.spec.total_llc_ways - l1;
+                    let cfg = |f2| {
+                        PairConfig::new(Allocation::new(c1, f1, l1), Allocation::new(c2, f2, l2))
+                    };
+                    // The greatest F2 within budget: lower F2 is strictly
+                    // worse for this (C1, F1, L1).
+                    let Some(f2) = (0..=top).rev().find(|&f2| {
+                        self.predictor.total_power_w_metered(
+                            &cfg(f2),
+                            &self.spec,
+                            qps_power,
+                            &meter,
+                        ) <= self.guarded_budget()
+                    }) else {
+                        continue;
+                    };
+                    candidates += 1;
+                    let t = self.predictor.be_throughput_metered(
+                        c2,
+                        self.spec.freq_ghz(f2),
+                        l2,
+                        &meter,
+                    );
+                    if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
+                        best = Some((cfg(f2), t));
+                    }
+                }
+            }
+        }
+        Self::finish(started, &meter, best, candidates, PruneTally::default())
     }
 
     /// The oracle's power frontier `F2*(C1,F1,L1)`, resolved fully on the
@@ -706,14 +678,15 @@ impl<'p> ConfigSearch<'p> {
     /// The envelope oracle: an unpruned serial sweep of every
     /// `<C1, F1, L1>` cell under the exact slab-envelope semantics the
     /// pruned engine uses — AND-of-bitsets feasibility, max-of-rows LS
-    /// power, table `F2*`. This is the bit-identity reference for
-    /// [`pruned`](Self::pruned) at *arbitrary* loads; at a slab-center
+    /// power, table `F2*`. This is the bit-identity reference for the
+    /// frontier-pruned strategy of [`run`](Self::run) at *arbitrary*
+    /// loads; at a slab-center
     /// load it is additionally bit-identical to
     /// [`exhaustive_serial`](Self::exhaustive_serial), because there the
     /// bracket degenerates and every envelope value equals the live model
     /// call it was flattened from.
     pub fn exhaustive_latticed(&self, qps: f64) -> SearchOutcome {
-        let meter = self.meter();
+        let started = Instant::now();
         let tables = self.predictor.model_tables(&self.spec);
         let slabs = self
             .predictor
@@ -754,7 +727,13 @@ impl<'p> ConfigSearch<'p> {
                 }
             }
         }
-        self.finish(meter, best, candidates)
+        Self::finish(
+            started,
+            &QueryMeter::default(),
+            best,
+            candidates,
+            PruneTally::default(),
+        )
     }
 
     /// One C1 slice of the latticed sweep: the oracle's exact `(F1, L1)`
@@ -855,8 +834,15 @@ impl<'p> ConfigSearch<'p> {
         }
     }
 
-    fn pruned_impl(&self, qps: f64) -> SearchOutcome {
-        let meter = self.meter();
+    /// The frontier-pruned strategy of [`run`](Self::run): zero model
+    /// calls, bit-identical to [`exhaustive_latticed`](Self::exhaustive_latticed)
+    /// at every load (and to [`exhaustive_serial`](Self::exhaustive_serial)
+    /// at slab centers), with per-cell/per-slice pruning and
+    /// cross-interval incremental reuse — see the module docs. The whole
+    /// sweep is a few thousand contiguous loads, far below the cost of
+    /// fanning out to a thread pool, so it runs serially.
+    fn pruned(&self, qps: f64) -> SearchOutcome {
+        let started = Instant::now();
         let tables = self.predictor.model_tables(&self.spec);
         let slabs = self
             .predictor
@@ -897,7 +883,7 @@ impl<'p> ConfigSearch<'p> {
             tally.incremental_reused = n_slices as u64;
             let best = state.best;
             self.park(qps, generation, best, state);
-            return self.finish_pruned(meter, best, 0, tally);
+            return Self::finish(started, &QueryMeter::default(), best, 0, tally);
         }
         let incremental = !stale && delta <= 1;
 
@@ -965,25 +951,7 @@ impl<'p> ConfigSearch<'p> {
         }
         state.best = best;
         self.park(qps, generation, best, state);
-        self.finish_pruned(meter, best, candidates, tally)
-    }
-
-    /// The latticed, frontier-pruned engine: zero virtual model calls in
-    /// the inner loop, bit-identical to
-    /// [`exhaustive_latticed`](Self::exhaustive_latticed) at every load
-    /// (and to [`exhaustive_serial`](Self::exhaustive_serial) at slab
-    /// centers), with per-cell/per-slice pruning and cross-interval
-    /// incremental reuse — see the module docs. The whole sweep is a few
-    /// thousand contiguous loads, far below the cost of fanning out to a
-    /// thread pool, so both entry points run the same serial impl.
-    pub fn pruned(&self, qps: f64) -> SearchOutcome {
-        self.pruned_impl(qps)
-    }
-
-    /// Alias of [`pruned`](Self::pruned), kept for the historical
-    /// serial/parallel split (the latticed engine is always serial).
-    pub fn pruned_serial(&self, qps: f64) -> SearchOutcome {
-        self.pruned_impl(qps)
+        Self::finish(started, &QueryMeter::default(), best, candidates, tally)
     }
 }
 
@@ -1028,6 +996,14 @@ mod tests {
         (env, p)
     }
 
+    fn searcher<'p>(
+        env: &CoLocationEnv,
+        p: &'p PerfPowerPredictor,
+        params: SearchParams,
+    ) -> ConfigSearch<'p> {
+        ConfigSearch::new(p, env.spec().clone(), env.budget_w(), params)
+    }
+
     #[test]
     fn least_satisfying_finds_boundary() {
         assert_eq!(least_satisfying(0, 10, |x| x >= 7), Some(7));
@@ -1059,15 +1035,10 @@ mod tests {
     #[test]
     fn search_returns_feasible_config() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         for frac in [0.2, 0.35, 0.5, 0.7] {
             let qps = frac * env.ls().params.peak_qps;
-            let out = search.best_config(qps);
+            let out = search.run(qps, None);
             let cfg = out.best.expect("feasible config must exist");
             assert!(cfg.validate(env.spec()).is_ok());
             // The chosen config must actually be predicted feasible.
@@ -1079,13 +1050,8 @@ mod tests {
     #[test]
     fn search_is_fast_in_model_calls() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
-        let out = search.best_config(0.3 * env.ls().params.peak_qps);
+        let search = searcher(&env, &p, SearchParams::default());
+        let out = search.run(0.3 * env.ls().params.peak_qps, None);
         // §VII-E bounds the fast search by (16 + 11·19)·4 models per
         // prediction round ≈ 900 calls; exhaustive needs ~40 000·4.
         assert!(
@@ -1098,15 +1064,10 @@ mod tests {
     #[test]
     fn fast_search_close_to_exhaustive() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let qps = 0.3 * env.ls().params.peak_qps;
-        let fast = search.best_config(qps);
-        let full = search.exhaustive(qps);
+        let fast = search.run(qps, None);
+        let full = search.exhaustive_serial(qps);
         let ft = fast.predicted_throughput;
         let xt = full.predicted_throughput;
         // The fast path restricts itself to minimal-LS candidates, so it
@@ -1116,40 +1077,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exhaustive_matches_serial() {
-        let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
-        for frac in [0.25, 0.5] {
-            let qps = frac * env.ls().params.peak_qps;
-            let par = search.exhaustive(qps);
-            let ser = search.exhaustive_serial(qps);
-            assert_eq!(par.best, ser.best);
-            assert_eq!(par.stats.candidates, ser.stats.candidates);
-            assert_eq!(par.predicted_throughput, ser.predicted_throughput);
-        }
-    }
-
-    #[test]
     fn warm_start_matches_cold_search_quality() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let peak = env.ls().params.peak_qps;
         let prev_qps = 0.30 * peak;
-        let prev = search.best_config(prev_qps).best.unwrap();
+        let prev = search.run(prev_qps, None).best.unwrap();
         // 10% drift: well inside the warm window.
         let qps = 0.33 * peak;
-        let warm = search.best_config_warm(qps, Some((&prev, prev_qps)));
-        let cold = search.best_config(qps);
+        let warm = search.run(qps, Some((&prev, prev_qps)));
+        let cold = search.run(qps, None);
         let wcfg = warm.best.expect("warm search must find a config");
         assert!(wcfg.validate(env.spec()).is_ok());
         assert!(p.feasible(&wcfg, env.spec(), qps, env.budget_w()));
@@ -1166,44 +1103,34 @@ mod tests {
     #[test]
     fn warm_start_falls_back_on_large_drift() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let peak = env.ls().params.peak_qps;
         let prev_qps = 0.2 * peak;
-        let prev = search.best_config(prev_qps).best.unwrap();
+        let prev = search.run(prev_qps, None).best.unwrap();
         // 250% drift: far past warm_start_drift → must behave exactly like
         // the cold search.
         let qps = 0.7 * peak;
-        let warm = search.best_config_warm(qps, Some((&prev, prev_qps)));
-        let cold = search.best_config(qps);
+        let warm = search.run(qps, Some((&prev, prev_qps)));
+        let cold = search.run(qps, None);
         assert_eq!(warm.best, cold.best);
         // And with no previous config at all, warm == cold trivially.
-        let none = search.best_config_warm(qps, None);
+        let none = search.run(qps, None);
         assert_eq!(none.best, cold.best);
     }
 
     #[test]
     fn stats_expose_cache_hits() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let qps = 0.3 * env.ls().params.peak_qps;
-        let first = search.best_config(qps);
+        let first = search.run(qps, None);
         // ls_feasible counts two queries per memoized verdict, so lookups
         // are bounded by (not equal to) the query count.
         assert!(first.stats.cache_hits + first.stats.cache_misses <= first.stats.model_calls);
         assert!(first.stats.cache_misses > 0, "fresh predictor must compute");
         // A repeated identical search is answered almost entirely from the
         // memo cache.
-        let second = search.best_config(qps);
+        let second = search.run(qps, None);
         assert!(
             second.stats.cache_misses == 0,
             "repeat search recomputed {} queries",
@@ -1213,16 +1140,59 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_searches_own_their_stats() {
+        // Two searches share one predictor (and its memo cache) from two
+        // threads. Each one's counts must be exactly its serial counts:
+        // another thread's queries never leak in. Only the hit/miss split
+        // may vary with scheduling, so the test checks their sum.
+        let (env, p) = setup();
+        let peak = env.ls().params.peak_qps;
+        let heuristic = searcher(&env, &p, SearchParams::default());
+        let pruned = searcher(
+            &env,
+            &p,
+            SearchParams {
+                strategy: SearchStrategy::FrontierPruned,
+                ..SearchParams::default()
+            },
+        );
+        let lookups = |s: &SearchStats| s.cache_hits + s.cache_misses;
+        let (qa, qb) = (0.3 * peak, 0.5 * peak);
+        let serial_a = heuristic.run(qa, None).stats;
+        let serial_b = heuristic.run(qb, None).stats;
+        assert!(serial_a.model_calls > 0 && serial_b.model_calls > 0);
+        let barrier = std::sync::Barrier::new(2);
+        for round in 0..50 {
+            // A cold memo each round, so both threads race to fill it.
+            p.cache().clear();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let a = heuristic.run(qa, None).stats;
+                    assert_eq!(a.model_calls, serial_a.model_calls, "round {round}");
+                    assert_eq!(lookups(&a), lookups(&serial_a), "round {round}");
+                });
+                scope.spawn(|| {
+                    barrier.wait();
+                    let b = heuristic.run(qb, None).stats;
+                    assert_eq!(b.model_calls, serial_b.model_calls, "round {round}");
+                    assert_eq!(lookups(&b), lookups(&serial_b), "round {round}");
+                    // The latticed engine issues no queries at all, however
+                    // busy the shared predictor is.
+                    let latticed = pruned.run(qb, None).stats;
+                    assert_eq!(latticed.model_calls, 0, "round {round}");
+                    assert_eq!(lookups(&latticed), 0, "round {round}");
+                });
+            });
+        }
+    }
+
+    #[test]
     fn impossible_load_yields_none() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         // 5× peak load cannot be served even by the whole node.
-        let out = search.best_config(5.0 * env.ls().params.peak_qps);
+        let out = search.run(5.0 * env.ls().params.peak_qps, None);
         assert!(out.best.is_none());
         assert_eq!(out.predicted_throughput, 0.0);
     }
@@ -1231,32 +1201,21 @@ mod tests {
     fn tighter_budget_never_increases_throughput() {
         let (env, p) = setup();
         let qps = 0.3 * env.ls().params.peak_qps;
-        let normal = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        )
-        .best_config(qps);
+        let normal = searcher(&env, &p, SearchParams::default()).run(qps, None);
         let tight = ConfigSearch::new(
             &p,
             env.spec().clone(),
             0.85 * env.budget_w(),
             SearchParams::default(),
         )
-        .best_config(qps);
+        .run(qps, None);
         assert!(tight.predicted_throughput <= normal.predicted_throughput + 1e-9);
     }
 
     #[test]
     fn pruned_is_bit_identical_to_latticed_oracle() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         for frac in [0.15, 0.3, 0.5, 0.8] {
             let qps = frac * env.ls().params.peak_qps;
             let full = search.exhaustive_latticed(qps);
@@ -1280,7 +1239,7 @@ mod tests {
                 "pruning must actually fire"
             );
             // Zero virtual model calls in the sweep (the first iteration
-            // may build slabs through uncounted raw paths).
+            // may build slabs, which issue no counted queries).
             assert_eq!(pruned.stats.model_calls, 0, "inner loop hit the models");
         }
     }
@@ -1289,7 +1248,7 @@ mod tests {
     fn pruned_matches_live_oracle_at_slab_centers() {
         let (env, p) = setup();
         let params = SearchParams::default();
-        let search = ConfigSearch::new(&p, env.spec().clone(), env.budget_w(), params);
+        let search = searcher(&env, &p, params);
         let slabs = p.ls_slabs(env.spec(), params.power_load_headroom);
         // At a slab center the bracket degenerates and every envelope
         // value equals the live model call it was flattened from, so the
@@ -1308,36 +1267,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_serial_matches_parallel() {
-        let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
-        for frac in [0.25, 0.6] {
-            let qps = frac * env.ls().params.peak_qps;
-            let par = search.pruned(qps);
-            let ser = search.pruned_serial(qps);
-            assert_eq!(par.best, ser.best);
-            assert_eq!(par.stats.candidates, ser.stats.candidates);
-            assert_eq!(par.stats.pruned_candidates, ser.stats.pruned_candidates);
-            assert_eq!(par.predicted_throughput, ser.predicted_throughput);
-        }
-    }
-
-    #[test]
     fn pruned_reuses_frontier_cache_across_intervals() {
         let (env, p) = setup();
         let frontiers = crate::cache::FrontierCache::default();
-        let first_search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        )
-        .with_frontiers(&frontiers);
+        let first_search = searcher(&env, &p, SearchParams::default()).with_frontiers(&frontiers);
         let qps = 0.4 * env.ls().params.peak_qps;
         let first = first_search.pruned(qps);
         assert_eq!(first.stats.frontier_reuses, 0);
@@ -1364,13 +1297,7 @@ mod tests {
     fn pruned_incremental_fast_path_reuses_parked_state() {
         let (env, p) = setup();
         let frontiers = crate::cache::FrontierCache::default();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        )
-        .with_frontiers(&frontiers);
+        let search = searcher(&env, &p, SearchParams::default()).with_frontiers(&frontiers);
         // Both loads sit strictly inside the same slab bracket, so the
         // repeat cannot cross a bucket boundary.
         let slabs = p.ls_slabs(env.spec(), SearchParams::default().power_load_headroom);
@@ -1400,9 +1327,8 @@ mod tests {
         let (env, p) = setup();
         let params = SearchParams::default();
         let frontiers = crate::cache::FrontierCache::default();
-        let warm = ConfigSearch::new(&p, env.spec().clone(), env.budget_w(), params)
-            .with_frontiers(&frontiers);
-        let cold = ConfigSearch::new(&p, env.spec().clone(), env.budget_w(), params);
+        let warm = searcher(&env, &p, params).with_frontiers(&frontiers);
+        let cold = searcher(&env, &p, params);
         let slabs = p.ls_slabs(env.spec(), params.power_load_headroom);
         let q = slabs.quantum();
         // A QPS walk whose every step moves the bracket by at most one
@@ -1435,12 +1361,7 @@ mod tests {
     #[test]
     fn pruned_impossible_load_yields_none() {
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let qps = 5.0 * env.ls().params.peak_qps;
         let pruned = search.pruned(qps);
         let full = search.exhaustive_serial(qps);
@@ -1460,17 +1381,13 @@ mod tests {
         // for BE. The fixed rule also requires the table bound over all
         // remaining slices to be <= the current best.
         let (env, p) = setup();
-        let search = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            env.budget_w(),
-            SearchParams::default(),
-        );
+        let search = searcher(&env, &p, SearchParams::default());
         let peak = env.ls().params.peak_qps;
+        let meter = QueryMeter::default();
         for frac in [0.15, 0.25, 0.4, 0.55, 0.7, 0.85] {
             let qps = frac * peak;
-            let (with_break, _) = search.scan_c1_window(1, search.max_c1(), qps, true);
-            let (no_break, _) = search.scan_c1_window(1, search.max_c1(), qps, false);
+            let (with_break, _) = search.scan_c1_window(1, search.max_c1(), qps, true, &meter);
+            let (no_break, _) = search.scan_c1_window(1, search.max_c1(), qps, false, &meter);
             assert_eq!(
                 with_break.map(|(c, t)| (c, t.to_bits())),
                 no_break.map(|(c, t)| (c, t.to_bits())),

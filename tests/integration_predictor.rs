@@ -100,7 +100,7 @@ fn search_results_feasible_across_pairs_and_loads() {
         );
         for frac in [0.2, 0.4, 0.6] {
             let qps = frac * setup.peak_qps();
-            let out = search.best_config(qps);
+            let out = search.run(qps, None);
             let cfg = out
                 .best
                 .unwrap_or_else(|| panic!("{}: no config at {:.0}% load", ls.name(), frac * 100.0));
@@ -136,8 +136,8 @@ fn search_quality_close_to_exhaustive_oracle() {
         SearchParams::default(),
     );
     let qps = 0.3 * setup.peak_qps();
-    let fast = search.best_config(qps);
-    let oracle = search.exhaustive(qps);
+    let fast = search.run(qps, None);
+    let oracle = search.exhaustive_serial(qps);
     assert!(
         fast.predicted_throughput >= 0.85 * oracle.predicted_throughput,
         "fast {} vs oracle {}",
@@ -175,8 +175,8 @@ fn cache_preserves_search_results_exactly() {
         let qps = frac * setup.peak_qps();
 
         predictor.set_caching(true);
-        let fast_cached = search.best_config(qps);
-        let full_cached = search.exhaustive(qps);
+        let fast_cached = search.run(qps, None);
+        let full_cached = search.exhaustive_serial(qps);
         assert!(
             fast_cached.stats.cache_hits + fast_cached.stats.cache_misses > 0,
             "cache enabled but never consulted at {:.0}% load",
@@ -184,8 +184,8 @@ fn cache_preserves_search_results_exactly() {
         );
 
         predictor.set_caching(false);
-        let fast_raw = search.best_config(qps);
-        let full_raw = search.exhaustive(qps);
+        let fast_raw = search.run(qps, None);
+        let full_raw = search.exhaustive_serial(qps);
         assert_eq!(
             fast_raw.stats.cache_hits + fast_raw.stats.cache_misses,
             0,

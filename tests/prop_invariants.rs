@@ -208,7 +208,7 @@ proptest! {
             setup.budget_w(),
             SearchParams::default(),
         );
-        let out = search.best_config(qps);
+        let out = search.run(qps, None);
         if let Some(cfg) = out.best {
             prop_assert!(cfg.validate(setup.spec()).is_ok());
             // The search's contract: predicted power at the drift-headroom

@@ -38,12 +38,12 @@ fn pruned_matches_envelope_oracle_on_pinned_production_setup() {
         predictor,
         setup.spec().clone(),
         setup.budget_w(),
-        SearchParams::default(),
+        pruned_params(),
     );
     for frac in [0.1, 0.2, 0.35, 0.5, 0.65, 0.8] {
         let qps = frac * setup.peak_qps();
         let full = search.exhaustive_latticed(qps);
-        let pruned = search.pruned(qps);
+        let pruned = search.run(qps, None);
         assert_eq!(pruned.best, full.best, "config mismatch at frac {frac}");
         assert_eq!(
             pruned.predicted_throughput.to_bits(),
@@ -65,13 +65,13 @@ fn pruned_matches_envelope_oracle_on_pinned_production_setup() {
 #[test]
 fn pruned_matches_live_oracle_at_slab_centers() {
     let (predictor, setup) = shared_predictor();
-    let params = SearchParams::default();
+    let params = pruned_params();
     let search = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params);
     let slabs = predictor.ls_slabs(setup.spec(), params.power_load_headroom);
     for bucket in [6u64, 13, 26, 40, 51] {
         let qps = slabs.center(bucket);
         let live = search.exhaustive_serial(qps);
-        let pruned = search.pruned(qps);
+        let pruned = search.run(qps, None);
         assert_eq!(pruned.best, live.best, "config mismatch at bucket {bucket}");
         assert_eq!(
             pruned.predicted_throughput.to_bits(),
@@ -89,7 +89,7 @@ fn frontier_seeded_search_stays_oracle_equal_across_load_drift() {
         predictor,
         setup.spec().clone(),
         setup.budget_w(),
-        SearchParams::default(),
+        pruned_params(),
     )
     .with_frontiers(&frontiers);
     // Walk a small diurnal-style load path; every step must stay
@@ -99,7 +99,7 @@ fn frontier_seeded_search_stays_oracle_equal_across_load_drift() {
     let mut incremental = 0;
     for frac in [0.30, 0.31, 0.33, 0.40, 0.33, 0.31, 0.30] {
         let qps = frac * setup.peak_qps();
-        let pruned = search.pruned(qps);
+        let pruned = search.run(qps, None);
         let full = search.exhaustive_latticed(qps);
         assert_eq!(pruned.best, full.best, "mismatch at frac {frac}");
         reuses += pruned.stats.frontier_reuses;
@@ -117,7 +117,7 @@ fn frontier_seeded_search_stays_oracle_equal_across_load_drift() {
 #[test]
 fn incremental_walk_is_bit_identical_to_full_pruned() {
     let (predictor, setup) = shared_predictor();
-    let params = SearchParams::default();
+    let params = pruned_params();
     let frontiers = FrontierCache::default();
     let warm = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params)
         .with_frontiers(&frontiers);
@@ -130,14 +130,22 @@ fn incremental_walk_is_bit_identical_to_full_pruned() {
     let mut qps = 20.4 * q;
     for delta in [0.9, -0.3, 1.0, 0.6, -1.0, -0.8, 0.2, 1.0, -0.5, 0.95] {
         qps += delta * q;
-        let inc = warm.pruned(qps);
-        let full = cold.pruned(qps);
+        let inc = warm.run(qps, None);
+        let full = cold.run(qps, None);
         assert_eq!(inc.best, full.best, "config mismatch at qps {qps}");
         assert_eq!(
             inc.predicted_throughput.to_bits(),
             full.predicted_throughput.to_bits(),
             "throughput bits differ at qps {qps}"
         );
+    }
+}
+
+/// Search parameters that select the latticed frontier-pruned engine.
+fn pruned_params() -> SearchParams {
+    SearchParams {
+        strategy: SearchStrategy::FrontierPruned,
+        ..SearchParams::default()
     }
 }
 
@@ -217,7 +225,7 @@ proptest! {
         };
         prop_assert!(spec.validate().is_ok());
         let (env, p) = train_on(spec.clone(), ls_idx, be_idx, seed);
-        let params = SearchParams::default();
+        let params = pruned_params();
         let search = ConfigSearch::new(&p, spec.clone(), env.budget_w(), params);
         let qps = (frac_pct as f64 / 100.0) * env.ls().params.peak_qps;
 
@@ -266,7 +274,7 @@ proptest! {
         // (3): engine vs envelope oracle at the probed load, and vs the
         // live oracle at a slab center.
         let full = search.exhaustive_latticed(qps);
-        let pruned = search.pruned(qps);
+        let pruned = search.run(qps, None);
         prop_assert_eq!(pruned.best, full.best);
         prop_assert_eq!(
             pruned.predicted_throughput.to_bits(),
@@ -275,7 +283,7 @@ proptest! {
         prop_assert!(pruned.stats.candidates <= full.stats.candidates);
         let center_qps = slabs.center(k_lo);
         let live = search.exhaustive_serial(center_qps);
-        let at_center = search.pruned(center_qps);
+        let at_center = search.run(center_qps, None);
         prop_assert_eq!(at_center.best, live.best);
         prop_assert_eq!(
             at_center.predicted_throughput.to_bits(),
@@ -290,8 +298,8 @@ proptest! {
         let mut walk_qps = qps;
         for (i, delta) in [0.7, -1.0, 0.4, 1.0, -0.6].into_iter().enumerate() {
             walk_qps = (walk_qps + delta * q).max(0.0);
-            let inc = warm.pruned(walk_qps);
-            let fresh = search.pruned(walk_qps);
+            let inc = warm.run(walk_qps, None);
+            let fresh = search.run(walk_qps, None);
             prop_assert_eq!(inc.best, fresh.best, "walk step {} diverged", i);
             prop_assert_eq!(
                 inc.predicted_throughput.to_bits(),
