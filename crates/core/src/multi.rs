@@ -178,12 +178,9 @@ impl<'e> MultiProfiler<'e> {
                         rng.gen_range(1..spec.total_llc_ways),
                     );
                     let obs = self.env.profile_ls(idx, &alloc, qps);
-                    x.push(features(
-                        qps,
-                        alloc.cores,
-                        alloc.freq_ghz(spec),
-                        alloc.llc_ways,
-                    ));
+                    x.push(
+                        features(qps, alloc.cores, alloc.freq_ghz(spec), alloc.llc_ways).to_vec(),
+                    );
                     y_qos.push(if obs.p95_ms <= target { 1.0 } else { 0.0 });
                     y_lat.push(obs.p95_ms.min(8.0 * target));
                     y_pow.push(self.env.ls_partition_power(idx, &alloc, qps));
@@ -222,7 +219,7 @@ impl<'e> MultiProfiler<'e> {
                     rng.gen_range(1..spec.total_llc_ways),
                 );
                 let f = alloc.freq_ghz(spec);
-                x.push(features(input_level, alloc.cores, f, alloc.llc_ways));
+                x.push(features(input_level, alloc.cores, f, alloc.llc_ways).to_vec());
                 y_perf.push(model.normalized_throughput(alloc.cores, f, alloc.llc_ways));
                 y_pow.push(self.env.be_partition_power(idx, &alloc));
             }

@@ -191,7 +191,7 @@ impl OnlineAdaptor {
         let mut x = self.offline.x.clone();
         let mut y = self.offline.y.clone();
         for s in &self.ring {
-            let row = features(s.qps, s.cores, s.freq_ghz, s.ways);
+            let row = features(s.qps, s.cores, s.freq_ghz, s.ways).to_vec();
             let label = s.p95_ms.min(clamp);
             for _ in 0..self.config.online_weight {
                 x.push(row.clone());

@@ -132,6 +132,12 @@ fn mask_ways(data: &Dataset) -> Result<Dataset, MlError> {
     Dataset::new(x, data.y.clone())
 }
 
+/// The LLC-ways feature values `1..=n` of an `n`-way lattice row: the
+/// last feature axis the row compute functions sweep.
+fn ways_axis(n: usize) -> Vec<f64> {
+    (1..=n).map(|w| w as f64).collect()
+}
+
 /// Which family backs each of the four models, plus the safety margin.
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
@@ -365,7 +371,9 @@ impl PerfPowerPredictor {
             spec,
             generation,
             self.static_power_w,
-            |cores, freq_ghz, ways| self.compute_be_throughput(cores, freq_ghz, ways),
+            |cores, freq_ghz, row| {
+                self.compute_be_throughput_row(cores, freq_ghz, &ways_axis(row.len()), row)
+            },
             |cores, freq_ghz| self.compute_be_power_w(cores, freq_ghz),
         ));
         *slot = Some(Arc::clone(&built));
@@ -385,33 +393,89 @@ impl PerfPowerPredictor {
         qps > 1.1 * self.max_trained_qps
     }
 
-    // One compute function per model family. The memoized query paths,
-    // the model tables and the QPS slabs all call these, so table and
-    // slab cells are bit-identical to live queries by construction.
+    // One row compute function per model family, sweeping the LLC-ways
+    // axis (the last feature) for one `(cores, freq)` row. The QPS slabs
+    // and the model tables call them with the full ways axis; the point
+    // functions the memoized query paths call are their one-value case.
+    // Table and slab cells are therefore bit-identical to live queries by
+    // construction.
 
-    /// LS QoS verdict at the guarded load. Dual check: the classifier
-    /// answers the paper's yes/no question, and the instance-based latency
-    /// regressor vetoes feasible islands the tree may hallucinate far from
-    /// any training sample.
-    fn compute_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
+    /// LS QoS verdicts at the guarded load, `out[j]` for `ways[j]`. Dual
+    /// check: the classifier answers the paper's yes/no question, and the
+    /// instance-based latency regressor vetoes feasible islands the tree
+    /// may hallucinate far from any training sample. The veto only runs
+    /// on the ways the classifier approved.
+    fn compute_ls_feasible_row(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        qps: f64,
+        ways: &[f64],
+        out: &mut [bool],
+    ) {
         let guarded = (qps * (1.0 + self.config.qos_load_margin)).min(self.max_trained_qps);
-        let x = features(guarded, cores, freq_ghz, ways);
-        self.ls_qos.predict_label(&x) && self.ls_latency.predict(&x) <= self.qos_target_ms
+        let lead = features(guarded, cores, freq_ghz, 0);
+        let lead = &lead[..FEATURE_DIM - 1];
+        let mut scores = vec![0.0; ways.len()];
+        self.ls_qos.predict_last_axis(lead, ways, &mut scores);
+        let approved: Vec<f64> = ways
+            .iter()
+            .zip(&scores)
+            .filter(|&(_, &s)| s >= 0.5)
+            .map(|(&w, _)| w)
+            .collect();
+        let mut latency = vec![0.0; approved.len()];
+        self.ls_latency
+            .predict_last_axis(lead, &approved, &mut latency);
+        let mut within_target = latency.iter().map(|&ms| ms <= self.qos_target_ms);
+        for (ok, &s) in out.iter_mut().zip(&scores) {
+            *ok = s >= 0.5 && within_target.next().expect("one latency per approval");
+        }
     }
 
-    /// LS partition power (W), margin included.
-    fn compute_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
+    fn compute_ls_feasible(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> bool {
+        let mut out = [false];
+        self.compute_ls_feasible_row(cores, freq_ghz, qps, &[f64::from(ways)], &mut out);
+        out[0]
+    }
+
+    /// LS partition power (W), margin included, `out[j]` for `ways[j]`.
+    fn compute_ls_power_row(
+        &self,
+        cores: u32,
+        freq_ghz: f64,
+        qps: f64,
+        ways: &[f64],
+        out: &mut [f64],
+    ) {
+        let lead = features(qps, cores, freq_ghz, 0);
         self.ls_power
-            .predict(&features(qps, cores, freq_ghz, ways))
-            .max(0.0)
-            * (1.0 + self.config.power_margin)
+            .predict_last_axis(&lead[..FEATURE_DIM - 1], ways, out);
+        for p in out {
+            *p = p.max(0.0) * (1.0 + self.config.power_margin);
+        }
     }
 
-    /// Normalized BE throughput.
-    fn compute_be_throughput(&self, cores: u32, freq_ghz: f64, ways: u32) -> f64 {
+    fn compute_ls_power_w(&self, cores: u32, freq_ghz: f64, ways: u32, qps: f64) -> f64 {
+        let mut out = [0.0];
+        self.compute_ls_power_row(cores, freq_ghz, qps, &[f64::from(ways)], &mut out);
+        out[0]
+    }
+
+    /// Normalized BE throughput, `out[j]` for `ways[j]`.
+    fn compute_be_throughput_row(&self, cores: u32, freq_ghz: f64, ways: &[f64], out: &mut [f64]) {
+        let lead = features(self.be_input_level, cores, freq_ghz, 0);
         self.be_perf
-            .predict(&features(self.be_input_level, cores, freq_ghz, ways))
-            .max(0.0)
+            .predict_last_axis(&lead[..FEATURE_DIM - 1], ways, out);
+        for t in out {
+            *t = t.max(0.0);
+        }
+    }
+
+    fn compute_be_throughput(&self, cores: u32, freq_ghz: f64, ways: u32) -> f64 {
+        let mut out = [0.0];
+        self.compute_be_throughput_row(cores, freq_ghz, &[f64::from(ways)], &mut out);
+        out[0]
     }
 
     /// BE partition power (W), margin included; the model ignores ways.
@@ -465,10 +529,17 @@ impl PerfPowerPredictor {
         slabs.slab(
             spec,
             bucket,
-            |cores, freq_ghz, ways, qps| {
-                !self.beyond_domain(qps) && self.compute_ls_feasible(cores, freq_ghz, ways, qps)
+            |cores, freq_ghz, qps, row| {
+                if self.beyond_domain(qps) {
+                    row.fill(false);
+                } else {
+                    let ways = ways_axis(row.len());
+                    self.compute_ls_feasible_row(cores, freq_ghz, qps, &ways, row);
+                }
             },
-            |cores, freq_ghz, ways, qps| self.compute_ls_power_w(cores, freq_ghz, ways, qps),
+            |cores, freq_ghz, qps, row| {
+                self.compute_ls_power_row(cores, freq_ghz, qps, &ways_axis(row.len()), row)
+            },
         )
     }
 
@@ -838,6 +909,63 @@ mod tests {
         let cfg = PairConfig::new(Allocation::new(4, 5, 6), Allocation::new(16, 9, 14));
         let _ = p.total_power_w(&cfg, e.spec(), 12_000.0);
         assert_eq!(p.prediction_count(), 5);
+    }
+
+    #[test]
+    fn slab_and_table_cells_equal_point_compute_functions_bit_for_bit() {
+        let e = env();
+        let p = predictor(&e);
+        let spec = e.spec();
+        let slabs = p.ls_slabs(spec, 0.08);
+        let max_bucket = slabs.bracket(f64::MAX).0;
+        let mut feasible_cells = 0;
+        for bucket in [0, max_bucket / 2, max_bucket] {
+            let slab = p.ls_slab(spec, &slabs, bucket);
+            let beyond = p.beyond_domain(slab.qps());
+            assert_eq!(beyond, bucket == max_bucket, "bucket {bucket}");
+            for cores in 1..=spec.total_cores {
+                for level in 0..spec.freq_level_count() {
+                    let ghz = spec.freq_ghz(level);
+                    for ways in 1..=spec.total_llc_ways {
+                        let feasible =
+                            !beyond && p.compute_ls_feasible(cores, ghz, ways, slab.qps());
+                        feasible_cells += usize::from(feasible);
+                        assert_eq!(
+                            slab.feasible(cores, level, ways),
+                            feasible,
+                            "feasibility of <{cores}, {level}, {ways}> at bucket {bucket}"
+                        );
+                        assert_eq!(
+                            slab.ls_power_w(cores, level, ways).to_bits(),
+                            p.compute_ls_power_w(cores, ghz, ways, slab.qps_power())
+                                .to_bits(),
+                            "LS power of <{cores}, {level}, {ways}> at bucket {bucket}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible_cells > 0,
+            "no feasible cell: the veto path is untested"
+        );
+        let tables = p.model_tables(spec);
+        for cores in 1..=spec.total_cores {
+            for level in 0..spec.freq_level_count() {
+                let ghz = spec.freq_ghz(level);
+                assert_eq!(
+                    tables.be_power_w(cores, level).to_bits(),
+                    p.compute_be_power_w(cores, ghz).to_bits()
+                );
+                for ways in 1..=spec.total_llc_ways {
+                    assert_eq!(
+                        tables.be_throughput(cores, level, ways).to_bits(),
+                        p.compute_be_throughput(cores, ghz, ways).to_bits(),
+                        "BE throughput of <{cores}, {level}, {ways}>"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@ use sturgeon_workloads::env::CoLocationEnv;
 /// `[input_size, cores, freq_ghz, llc_ways]`.
 pub const FEATURE_DIM: usize = 4;
 
-/// Builds the canonical feature row.
+/// Builds the canonical feature row. Dataset rows take a `.to_vec()`
+/// copy; live model queries borrow it straight off the stack.
 #[inline]
-pub fn features(input_size: f64, cores: u32, freq_ghz: f64, ways: u32) -> Vec<f64> {
-    vec![input_size, cores as f64, freq_ghz, ways as f64]
+pub fn features(input_size: f64, cores: u32, freq_ghz: f64, ways: u32) -> [f64; FEATURE_DIM] {
+    [input_size, cores as f64, freq_ghz, ways as f64]
 }
 
 /// Profiling controls.
@@ -125,7 +126,7 @@ impl<'e> Profiler<'e> {
                 let f_ghz = spec.freq_ghz(level);
                 let cfg = ls_only_config(&spec, cores, level, ways);
                 let obs = self.env.profile(&cfg, qps);
-                ls_x.push(features(qps, cores, f_ghz, ways));
+                ls_x.push(features(qps, cores, f_ghz, ways).to_vec());
                 let target = self.env.ls().params.qos_target_ms;
                 ls_qos_y.push(if obs.p95_ms <= target { 1.0 } else { 0.0 });
                 // Clamp the saturated-regime latency so regression models
@@ -158,7 +159,7 @@ impl<'e> Profiler<'e> {
             let (cores, level) = cells[i % cells.len()];
             let ways = rng.gen_range(1..spec.total_llc_ways);
             let f_ghz = spec.freq_ghz(level);
-            be_x.push(features(input_level, cores, f_ghz, ways));
+            be_x.push(features(input_level, cores, f_ghz, ways).to_vec());
             be_tput_y.push(self.env.be().normalized_throughput(cores, f_ghz, ways));
             be_ipc_y.push(self.env.be().ipc(cores, f_ghz, ways));
             be_pow_y.push(self.env.be_partition_power(cores, f_ghz));
@@ -235,8 +236,7 @@ mod tests {
     #[test]
     fn features_have_canonical_layout() {
         let f = features(12_000.0, 8, 1.8, 10);
-        assert_eq!(f, vec![12_000.0, 8.0, 1.8, 10.0]);
-        assert_eq!(f.len(), FEATURE_DIM);
+        assert_eq!(f, [12_000.0, 8.0, 1.8, 10.0]);
     }
 
     #[test]

@@ -416,7 +416,7 @@ impl ColdStartPredictor {
         let mut x = Vec::with_capacity(self.matrix.configs.len());
         let (mut t, mut i_y, mut p) = (Vec::new(), Vec::new(), Vec::new());
         for (col, &(cores, level, ways)) in self.matrix.configs.iter().enumerate() {
-            x.push(features(input_level, cores, spec.freq_ghz(level), ways));
+            x.push(features(input_level, cores, spec.freq_ghz(level), ways).to_vec());
             t.push(self.predict(ScoreMetric::Throughput, row, col));
             i_y.push(self.predict(ScoreMetric::Ipc, row, col));
             p.push(self.predict(ScoreMetric::Power, row, col));
@@ -468,7 +468,7 @@ pub fn fallback_be_datasets(
     let mut x = Vec::with_capacity(cols);
     let (mut t, mut i_y, mut p) = (Vec::new(), Vec::new(), Vec::new());
     for (col, &(cores, level, ways)) in matrix.configs.iter().enumerate() {
-        x.push(features(input_level, cores, spec.freq_ghz(level), ways));
+        x.push(features(input_level, cores, spec.freq_ghz(level), ways).to_vec());
         t.push(column_stat(ScoreMetric::Throughput, col, false));
         i_y.push(column_stat(ScoreMetric::Ipc, col, false));
         p.push(column_stat(ScoreMetric::Power, col, true));

@@ -58,15 +58,16 @@ pub struct ModelTables {
 
 impl ModelTables {
     /// Builds the tables by sweeping the full BE lattice of `spec` through
-    /// the two evaluators. `tput(cores, freq_ghz, ways)` and
-    /// `power(cores, freq_ghz)` must be the predictor's exact compute
-    /// paths (clamps and margins included) for lookups to be bit-identical
-    /// to model calls.
+    /// the two evaluators, one `(cores, freq_ghz)` row at a time.
+    /// `tput(cores, freq_ghz, row)` fills `row[w - 1]` for every way count
+    /// `w`; `power(cores, freq_ghz)` answers one ways-masked cell. Both
+    /// must be the predictor's exact compute paths (clamps and margins
+    /// included) for lookups to be bit-identical to model calls.
     pub fn build(
         spec: &NodeSpec,
         generation: u64,
         static_power_w: f64,
-        mut tput: impl FnMut(u32, f64, u32) -> f64,
+        mut tput: impl FnMut(u32, f64, &mut [f64]),
         mut power: impl FnMut(u32, f64) -> f64,
     ) -> Self {
         let total_cores = spec.total_cores;
@@ -84,11 +85,9 @@ impl ModelTables {
             for f in 0..n_levels {
                 let ghz = spec.freq_ghz(f);
                 be_power[ci * n_levels + f] = power(c, ghz);
-                for w in 1..=total_ways {
-                    let wi = (w - 1) as usize;
-                    let t = tput(c, ghz, w);
-                    be_tput[(ci * n_levels + f) * nw + wi] = t;
-                    let cell = &mut tput_max_freq[ci * nw + wi];
+                let row = &mut be_tput[(ci * n_levels + f) * nw..][..nw];
+                tput(c, ghz, row);
+                for (cell, &t) in tput_max_freq[ci * nw..][..nw].iter_mut().zip(&*row) {
                     if t > *cell {
                         *cell = t;
                     }
@@ -218,17 +217,19 @@ pub struct LsSlab {
 
 impl LsSlab {
     /// Builds the slab by sweeping the full `(C1, F1, L1)` lattice through
-    /// the two evaluators, which must be the predictor's exact compute
-    /// paths (domain check, guarded load, clamps and margins included) for
-    /// lookups to be bit-identical to live calls at the slab centers.
-    /// `feas` is queried at `qps`, `power` at `qps_power`.
+    /// the two row evaluators: `feas(cores, freq_ghz, qps, row)` and
+    /// `power(cores, freq_ghz, qps, row)` fill `row[w - 1]` for every way
+    /// count `w` of one `(C1, F1)` row. They must be the predictor's exact
+    /// compute paths (domain check, guarded load, clamps and margins
+    /// included) for lookups to be bit-identical to live calls at the slab
+    /// centers. `feas` is queried at `qps`, `power` at `qps_power`.
     pub fn build(
         spec: &NodeSpec,
         bucket: u64,
         qps: f64,
         qps_power: f64,
-        mut feas: impl FnMut(u32, f64, u32, f64) -> bool,
-        mut power: impl FnMut(u32, f64, u32, f64) -> f64,
+        mut feas: impl FnMut(u32, f64, f64, &mut [bool]),
+        mut power: impl FnMut(u32, f64, f64, &mut [f64]),
     ) -> Self {
         let nc = spec.total_cores as usize;
         let nw = spec.total_llc_ways as usize;
@@ -236,18 +237,18 @@ impl LsSlab {
         let words_per_row = nw.div_ceil(64);
         let mut feas_words = vec![0u64; nc * nf * words_per_row];
         let mut pw = vec![0.0; nc * nf * nw];
+        let mut feas_row = vec![false; nw];
         for c in 1..=spec.total_cores {
             let ci = (c - 1) as usize;
             for f in 0..nf {
                 let ghz = spec.freq_ghz(f);
-                let row = (ci * nf + f) * words_per_row;
-                for w in 1..=spec.total_llc_ways {
-                    let wi = (w - 1) as usize;
-                    if feas(c, ghz, w, qps) {
-                        feas_words[row + wi / 64] |= 1u64 << (wi % 64);
-                    }
-                    pw[(ci * nf + f) * nw + wi] = power(c, ghz, w, qps_power);
+                let row = ci * nf + f;
+                feas(c, ghz, qps, &mut feas_row);
+                let words = &mut feas_words[row * words_per_row..][..words_per_row];
+                for (wi, _) in feas_row.iter().enumerate().filter(|(_, &ok)| ok) {
+                    words[wi / 64] |= 1u64 << (wi % 64);
                 }
+                power(c, ghz, qps_power, &mut pw[row * nw..][..nw]);
             }
         }
         Self {
@@ -325,10 +326,9 @@ impl LsSlab {
 /// the two bitsets (never optimistic: a cell must meet QoS at *both*
 /// surrounding centers) and LS power the pointwise `max` of the two
 /// lattices. At a slab center the bracket degenerates to one slab and
-/// every envelope lookup is bit-identical to the live model call.
-/// [`lerp_power_w`](Self::lerp_power_w) exposes the plain linear
-/// interpolation for validation; the search itself never uses it, since a
-/// lerp can undershoot the live model between centers.
+/// every envelope lookup is bit-identical to the live model call. The
+/// envelope never interpolates: a linear blend of the two lattices could
+/// undershoot the live model between centers.
 #[derive(Debug)]
 pub struct LsSlabs {
     generation: u64,
@@ -417,14 +417,14 @@ impl LsSlabs {
     }
 
     /// Returns the slab for `bucket`, building it on first use via the
-    /// two evaluators (see [`LsSlab::build`]; `feas` is handed the slab
+    /// two row evaluators (see [`LsSlab::build`]; `feas` is handed the slab
     /// center, `power` the headroom-inflated center).
     pub fn slab(
         &self,
         spec: &NodeSpec,
         bucket: u64,
-        feas: impl FnMut(u32, f64, u32, f64) -> bool,
-        power: impl FnMut(u32, f64, u32, f64) -> f64,
+        feas: impl FnMut(u32, f64, f64, &mut [bool]),
+        power: impl FnMut(u32, f64, f64, &mut [f64]),
     ) -> Arc<LsSlab> {
         // The map lock is held across the build: a slab sweep is thousands
         // of model evaluations, so racing builders should wait for the one
@@ -444,27 +444,6 @@ impl LsSlabs {
     /// How many slab constructions actually ran (as opposed to map hits).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Plain linear interpolation of LS power between the bracketing
-    /// slabs — exposed for bit-closeness validation only; the search uses
-    /// the conservative `max` envelope instead.
-    pub fn lerp_power_w(
-        &self,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        qps: f64,
-        cores: u32,
-        level: usize,
-        ways: u32,
-    ) -> f64 {
-        let a = lo.ls_power_w(cores, level, ways);
-        if lo.bucket() == hi.bucket() {
-            return a;
-        }
-        let b = hi.ls_power_w(cores, level, ways);
-        let t = ((qps - lo.qps()) / (hi.qps() - lo.qps())).clamp(0.0, 1.0);
-        a + (b - a) * t
     }
 }
 
@@ -559,6 +538,15 @@ mod tests {
         }
     }
 
+    /// A row evaluator that fills `row[w - 1]` from a per-cell function.
+    fn by_ways<T>(cell: impl Fn(u32, f64, u32) -> T) -> impl FnMut(u32, f64, &mut [T]) {
+        move |c, g, row| {
+            for (wi, out) in row.iter_mut().enumerate() {
+                *out = cell(c, g, wi as u32 + 1);
+            }
+        }
+    }
+
     #[test]
     fn model_tables_store_every_lattice_point() {
         let spec = small_spec();
@@ -566,7 +554,7 @@ mod tests {
             &spec,
             7,
             12.5,
-            |c, f, w| c as f64 * 100.0 + f * 10.0 + w as f64,
+            by_ways(|c, f, w| c as f64 * 100.0 + f * 10.0 + w as f64),
             |c, f| c as f64 + f,
         );
         assert_eq!(t.generation(), 7);
@@ -590,7 +578,7 @@ mod tests {
         let spec = small_spec();
         // An arbitrary non-monotone function: bounds must still dominate.
         let f = |c: u32, g: f64, w: u32| ((c * 31 + w * 17) as f64 * g).sin().abs() * 10.0;
-        let t = ModelTables::build(&spec, 0, 0.0, f, |_, _| 0.0);
+        let t = ModelTables::build(&spec, 0, 0.0, by_ways(f), |_, _| 0.0);
         for c in 1..=4u32 {
             let mut slice_max = 0.0f64;
             for level in 0..3usize {
@@ -614,7 +602,7 @@ mod tests {
     #[test]
     fn tables_reject_mismatched_spec() {
         let spec = small_spec();
-        let t = ModelTables::build(&spec, 0, 0.0, |_, _, _| 0.0, |_, _| 0.0);
+        let t = ModelTables::build(&spec, 0, 0.0, |_, _, row| row.fill(0.0), |_, _| 0.0);
         let mut other = small_spec();
         other.total_llc_ways = 4;
         assert!(!t.matches(&other));
@@ -631,13 +619,13 @@ mod tests {
             3,
             30.0,
             32.4,
-            |c, _g, w, qps| {
+            |c, g, qps, row| {
                 assert_eq!(qps, 30.0);
-                (c + w) % 2 == 0
+                by_ways(|c, _g, w| (c + w) % 2 == 0)(c, g, row)
             },
-            |c, g, w, qps| {
+            |c, g, qps, row| {
                 assert_eq!(qps, 32.4);
-                c as f64 * 10.0 + g + w as f64 * 0.1
+                by_ways(|c, g, w| c as f64 * 10.0 + g + w as f64 * 0.1)(c, g, row)
             },
         );
         assert_eq!(slab.bucket(), 3);
@@ -681,8 +669,8 @@ mod tests {
         let spec = small_spec();
         let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
         assert_eq!(slabs.builds(), 0);
-        let feas = |_c: u32, _g: f64, _w: u32, _q: f64| true;
-        let power = |_c: u32, _g: f64, _w: u32, q: f64| q;
+        let feas = |_c: u32, _g: f64, _q: f64, row: &mut [bool]| row.fill(true);
+        let power = |_c: u32, _g: f64, q: f64, row: &mut [f64]| row.fill(q);
         let a = slabs.slab(&spec, 2, feas, power);
         assert_eq!(slabs.builds(), 1);
         let b = slabs.slab(&spec, 2, feas, power);
@@ -691,21 +679,6 @@ mod tests {
         // The power lattice was built at the slab center (headroom 0).
         assert_eq!(a.qps(), 20.0);
         assert_eq!(a.ls_power_w(1, 0, 1), 20.0);
-    }
-
-    #[test]
-    fn lerp_power_interpolates_between_slab_centers() {
-        let spec = small_spec();
-        let slabs = LsSlabs::new(&spec, 0, 10.0, 0.0, 400.0);
-        let feas = |_c: u32, _g: f64, _w: u32, _q: f64| true;
-        let power = |_c: u32, _g: f64, _w: u32, q: f64| q * 2.0;
-        let lo = slabs.slab(&spec, 1, feas, power);
-        let hi = slabs.slab(&spec, 2, feas, power);
-        // Halfway between centers 10 and 20 → halfway between 20 and 40.
-        let mid = slabs.lerp_power_w(&lo, &hi, 15.0, 2, 1, 2);
-        assert_eq!(mid, 30.0);
-        // Degenerate bracket returns the slab value verbatim.
-        assert_eq!(slabs.lerp_power_w(&lo, &lo, 10.0, 2, 1, 2), 20.0);
     }
 
     #[test]

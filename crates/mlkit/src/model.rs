@@ -116,6 +116,14 @@ pub trait Regressor {
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|r| self.predict(r)).collect()
     }
+
+    /// Predicts a sweep along the last feature: `out[j]` is
+    /// `predict(&[x, last[j]])`, bit for bit, where `x` holds every
+    /// feature but the last. The default runs one query per value;
+    /// models that can share work across the sweep override it.
+    fn predict_last_axis(&self, x: &[f64], last: &[f64], out: &mut [f64]) {
+        sweep_last_axis(x, last, out, |row| self.predict(row));
+    }
 }
 
 /// A binary classifier: predicts a probability-like score and a hard label.
@@ -128,6 +136,26 @@ pub trait Classifier {
     /// Hard 0/1 prediction.
     fn predict_label(&self, x: &[f64]) -> bool {
         self.predict_score(x) >= 0.5
+    }
+
+    /// Scores a sweep along the last feature: `out[j]` is
+    /// `predict_score(&[x, last[j]])`, bit for bit (see
+    /// [`Regressor::predict_last_axis`]).
+    fn predict_last_axis(&self, x: &[f64], last: &[f64], out: &mut [f64]) {
+        sweep_last_axis(x, last, out, |row| self.predict_score(row));
+    }
+}
+
+/// The per-query fallback of the `predict_last_axis` methods: appends each
+/// last-feature value to `x` in one reused row buffer.
+fn sweep_last_axis(x: &[f64], last: &[f64], out: &mut [f64], mut f: impl FnMut(&[f64]) -> f64) {
+    debug_assert_eq!(last.len(), out.len());
+    let mut row = Vec::with_capacity(x.len() + 1);
+    row.extend_from_slice(x);
+    row.push(0.0);
+    for (o, &v) in out.iter_mut().zip(last) {
+        *row.last_mut().expect("row holds the last feature") = v;
+        *o = f(&row);
     }
 }
 

@@ -55,6 +55,13 @@ impl Standardizer {
         }
     }
 
+    /// Standardizes one value of feature column `j` — the same arithmetic
+    /// [`transform_row`](Self::transform_row) applies to that column.
+    #[inline]
+    pub(crate) fn transform_feature(&self, j: usize, v: f64) -> f64 {
+        (v - self.means[j]) / self.stds[j]
+    }
+
     /// Returns a standardized copy of the row.
     pub fn transformed(&self, row: &[f64]) -> Vec<f64> {
         let mut out = row.to_vec();
