@@ -2,7 +2,7 @@
 //! the O(N log N) binary configuration search, the O(N⁴) exhaustive
 //! sweep, and the frontier-pruned engine (exhaustive-equivalent results)
 //! at low and high LS load — each in cached and uncached flavours (the
-//! prediction memo cache), with warm-start / frontier-reuse variants.
+//! prediction memo cache), with a warm-start variant of the heuristic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -59,14 +59,6 @@ fn bench_search(c: &mut Criterion) {
         predictor.set_caching(false);
         b.iter(|| black_box(search.run(black_box(0.5 * peak), None)));
         predictor.set_caching(true);
-    });
-    // Steady state: the frontier cache supplies the incumbent, so the
-    // bisection warm-up disappears and only the pruned sweep remains.
-    group.bench_function("pruned_50pct_frontier_warm", |b| {
-        let frontiers = FrontierCache::default();
-        let search = search(pruned).with_frontiers(&frontiers);
-        let _ = search.run(0.5 * peak, None);
-        b.iter(|| black_box(search.run(black_box(0.5 * peak), None)))
     });
     // The exhaustive sweep is orders of magnitude slower; keep one load and
     // a reduced sample count so the bench suite stays tractable.

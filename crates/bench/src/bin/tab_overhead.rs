@@ -13,10 +13,8 @@
 //!
 //! This binary measures the same quantities on our implementation: model
 //! calls consumed and wall-clock time for the heuristic binary search,
-//! the exhaustive oracle, and the latticed frontier-pruned engine — cold
-//! (no parked state), warm (verbatim memo reuse in the same QPS bucket)
-//! and incremental (one-bucket QPS walk, changed slices rescanned) —
-//! plus the per-prediction latency. Every engine is exercised once
+//! the exhaustive oracle, and the stateless latticed frontier-pruned
+//! engine, plus the per-prediction latency. Every engine is exercised once
 //! untimed before measurement so the rows report steady state rather
 //! than first-call lazy-initialization (table and slab builds), and each
 //! row runs a repetition loop whose p50/p95/p99 per-search latencies are
@@ -83,9 +81,6 @@ fn main() {
 
     let fracs = [0.2, 0.35, 0.5, 0.8];
     let params = SearchParams::default();
-    let quantum = predictor
-        .ls_slabs(setup.spec(), params.power_load_headroom)
-        .quantum();
 
     // Warm-up: drive every engine once at every measured load so the
     // lazy one-time builds (BE tables, QPS slabs, memo-cache fills) land
@@ -102,7 +97,6 @@ fn main() {
         let _ = search(params).run(qps, None);
         let _ = search(params).exhaustive_serial(qps);
         let _ = search(pruned_params).run(qps, None);
-        let _ = search(pruned_params).run(qps + quantum, None);
     }
 
     let mut summaries = Vec::new();
@@ -111,25 +105,11 @@ fn main() {
         let heuristic = search(params);
         let (fast, fast_us) = timed_reps(100, || heuristic.run(qps, None));
         let (full, full_us) = timed_reps(5, || heuristic.exhaustive_serial(qps));
-        // Cold: no frontier cache attached, so every repetition pays the
-        // full latticed sweep with neither seed nor parked slice state.
+        // Every repetition pays the full latticed sweep: the engine keeps
+        // no state between searches.
         let pruned_search = search(pruned_params);
         let (pruned, pruned_us) = timed_reps(200, || pruned_search.run(qps, None));
         let latticed = pruned_search.exhaustive_latticed(qps);
-        // Warm: same QPS bucket every time — after the first pass the
-        // parked state answers verbatim.
-        let frontiers = FrontierCache::default();
-        let seeded = pruned_search.with_frontiers(&frontiers);
-        let _ = seeded.run(qps, None);
-        let (pruned_warm, warm_us) = timed_reps(200, || seeded.run(qps, None));
-        // Incremental: alternate between adjacent QPS buckets so every
-        // repetition crosses exactly one slab boundary and rescans only
-        // the slices whose envelope changed.
-        let mut flip = false;
-        let (pruned_inc, inc_us) = timed_reps(200, || {
-            flip = !flip;
-            seeded.run(if flip { qps + quantum } else { qps }, None)
-        });
         println!("\n-- load {:.0}% of peak --", frac * 100.0);
         let fast_row =
             OverheadSummary::from_stats(format!("binary@{:.0}%", frac * 100.0), &fast.stats)
@@ -140,16 +120,6 @@ fn main() {
         let pruned_row =
             OverheadSummary::from_stats(format!("pruned@{:.0}%", frac * 100.0), &pruned.stats)
                 .with_percentiles(&pruned_us);
-        let warm_row = OverheadSummary::from_stats(
-            format!("pruned-warm@{:.0}%", frac * 100.0),
-            &pruned_warm.stats,
-        )
-        .with_percentiles(&warm_us);
-        let inc_row = OverheadSummary::from_stats(
-            format!("pruned-incremental@{:.0}%", frac * 100.0),
-            &pruned_inc.stats,
-        )
-        .with_percentiles(&inc_us);
         println!("{}  tput {:.3}", fast_row.row(), fast.predicted_throughput);
         println!("{}  tput {:.3}", full_row.row(), full.predicted_throughput);
         println!(
@@ -159,19 +129,6 @@ fn main() {
             pruned.stats.pruned_candidates,
             pruned.stats.pruned_subspaces,
             pruned.best == latticed.best
-        );
-        println!(
-            "{}  tput {:.3}  (slices reused {})",
-            warm_row.row(),
-            pruned_warm.predicted_throughput,
-            pruned_warm.stats.incremental_slices_reused
-        );
-        println!(
-            "{}  tput {:.3}  (slices reused {}, rescanned {})",
-            inc_row.row(),
-            pruned_inc.predicted_throughput,
-            pruned_inc.stats.incremental_slices_reused,
-            pruned_inc.stats.incremental_slices_rescanned
         );
         println!(
             "speedup: binary {:.0}× fewer queries; pruned evaluates {:.0}× fewer candidates than exhaustive",
@@ -186,8 +143,6 @@ fn main() {
         summaries.push(fast_row);
         summaries.push(full_row);
         summaries.push(pruned_row);
-        summaries.push(warm_row);
-        summaries.push(inc_row);
     }
 
     println!(
@@ -207,6 +162,5 @@ fn main() {
     println!("\n=> the O(N log N) search replaces the paper's 6.4 s exhaustive sweep with a");
     println!("   millisecond-scale search, exactly the §VII-E argument; the latticed pruned");
     println!("   engine answers from flat slab envelopes with zero model calls in the inner");
-    println!("   loop, and the incremental path rescans only the slices a one-bucket QPS");
-    println!("   move actually changed.");
+    println!("   loop.");
 }

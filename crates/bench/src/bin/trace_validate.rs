@@ -52,6 +52,7 @@ fn validate_body(kind: &str, body: &serde_json::Value) -> Result<(), String> {
             "pruned_subspaces",
             "frontier_reuses",
         ],
+        // Retired (no longer emitted); kept so older traces validate.
         "SearchIncremental" => &["t_s", "slices_reused", "slices_rescanned"],
         "CacheSnapshot" => &["t_s", "entries", "hits", "misses"],
         other => return Err(format!("unknown event type {other}")),

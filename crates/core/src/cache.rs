@@ -27,7 +27,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use sturgeon_simnode::PairConfig;
 
 /// The four memoized query families of the predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -221,183 +220,10 @@ impl QueryMeter {
     }
 }
 
-/// Per-C1-slice snapshot of the latticed pruned sweep: the slab envelope
-/// the slice was scanned under (feasibility words and LS power rows, both
-/// flattened over `(F1, L1)`) and the exact slice outcome. The
-/// incremental re-search compares freshly computed envelopes against
-/// these buffers in place and rescans only slices whose bytes moved; the
-/// `Vec`s double as reusable scratch so steady-state searches allocate
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SliceSnapshot {
-    /// Envelope feasibility words, `n_levels × words_per_row`.
-    pub feas: Vec<u64>,
-    /// Envelope LS power rows (W), `n_levels × total_ways`.
-    pub power: Vec<f64>,
-    /// The slice's exact best candidate under the envelope, with its
-    /// predicted BE throughput.
-    pub best: Option<(PairConfig, f64)>,
-}
-
-/// Bucket-delta state for the incremental re-search (the frontier-pruned
-/// strategy of `ConfigSearch::run`): the previous latticed sweep's
-/// per-slice envelopes and outcomes plus the identity — generation,
-/// budget, slab bracket, lattice shape — they were computed under. A new
-/// search whose identity matches and whose QPS bracket moved at most one
-/// bucket reuses every slice whose envelope is unchanged; anything else
-/// (drift, retrain, budget change, reshaped lattice) discards the state
-/// and runs the full sweep, which repopulates it.
-#[derive(Debug, Default)]
-pub struct IncrementalState {
-    /// Predictor training generation of the stored sweep.
-    pub generation: u64,
-    /// `budget_w.to_bits()` of the stored sweep.
-    pub budget_bits: u64,
-    /// `power_load_headroom.to_bits()` baked into the stored envelopes.
-    pub headroom_bits: u64,
-    /// Slab bracket of the stored sweep.
-    pub lo_bucket: u64,
-    /// Slab bracket of the stored sweep.
-    pub hi_bucket: u64,
-    /// Search-space shape of the stored sweep.
-    pub max_c1: u32,
-    /// Search-space shape of the stored sweep.
-    pub max_l1: u32,
-    /// One snapshot per C1 slice, index `c1 - 1`.
-    pub slices: Vec<SliceSnapshot>,
-    /// The stored sweep's folded outcome.
-    pub best: Option<(PairConfig, f64)>,
-}
-
-/// Cross-interval frontier memory for the pruned search engine.
-///
-/// The steady-state control path re-searches at loads that drift a few
-/// per mille per interval, so the previous interval's winning
-/// configuration is almost always a high-value incumbent for the next
-/// search. This cache keys those seeds on *quantized QPS buckets* — the
-/// seed is only a starting bound, revalidated by the searcher against the
-/// live slab envelope before use, so bucketing can never change a result,
-/// only how much of the sweep the bound prunes.
-///
-/// Seeds are tagged with the predictor's training generation and dropped
-/// wholesale when it changes — the same invalidation rule as
-/// [`PredictionCache::clear`] on retrain.
-///
-/// The cache also parks the [`IncrementalState`] between intervals
-/// (take/store, so the searcher mutates it without holding the lock);
-/// see [`take_incremental`](Self::take_incremental).
-#[derive(Debug)]
-pub struct FrontierCache {
-    inner: Mutex<FrontierInner>,
-    reuses: AtomicU64,
-    incremental: Mutex<Option<Box<IncrementalState>>>,
-}
-
-#[derive(Debug)]
-struct FrontierInner {
-    generation: u64,
-    qps_quantum: f64,
-    seeds: HashMap<u64, PairConfig>,
-}
-
-/// Bound on stored seeds; a control loop visits far fewer distinct load
-/// buckets, so hitting it means the quantum is misconfigured — wipe and
-/// restart rather than grow without limit.
-const FRONTIER_CAP: usize = 256;
-
-impl Default for FrontierCache {
-    fn default() -> Self {
-        Self::new(200.0)
-    }
-}
-
-impl FrontierCache {
-    /// An empty cache bucketing loads by `qps_quantum` QPS (clamped to a
-    /// strictly positive width).
-    pub fn new(qps_quantum: f64) -> Self {
-        Self {
-            inner: Mutex::new(FrontierInner {
-                generation: 0,
-                qps_quantum: qps_quantum.max(f64::MIN_POSITIVE),
-                seeds: HashMap::new(),
-            }),
-            reuses: AtomicU64::new(0),
-            incremental: Mutex::new(None),
-        }
-    }
-
-    /// Hands the parked incremental state to a searcher, leaving the slot
-    /// empty. The searcher validates/mutates it lock-free and puts it
-    /// back via [`store_incremental`](Self::store_incremental); a racing
-    /// searcher simply finds the slot empty and runs a full sweep.
-    pub fn take_incremental(&self) -> Option<Box<IncrementalState>> {
-        self.incremental.lock().take()
-    }
-
-    /// Parks the incremental state for the next interval's search.
-    pub fn store_incremental(&self, state: Box<IncrementalState>) {
-        *self.incremental.lock() = Some(state);
-    }
-
-    fn bucket(quantum: f64, qps: f64) -> u64 {
-        (qps.max(0.0) / quantum).round() as u64
-    }
-
-    /// The seed stored for `qps`'s bucket, if it was produced by the same
-    /// predictor generation. A generation change empties the cache first.
-    pub fn get(&self, generation: u64, qps: f64) -> Option<PairConfig> {
-        let mut inner = self.inner.lock();
-        if inner.generation != generation {
-            inner.seeds.clear();
-            inner.generation = generation;
-            return None;
-        }
-        let seed = inner
-            .seeds
-            .get(&Self::bucket(inner.qps_quantum, qps))
-            .copied();
-        if seed.is_some() {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        seed
-    }
-
-    /// Stores the winning configuration of a search at `qps` as the
-    /// bucket's seed for subsequent intervals.
-    pub fn insert(&self, generation: u64, qps: f64, cfg: PairConfig) {
-        let mut inner = self.inner.lock();
-        if inner.generation != generation {
-            inner.seeds.clear();
-            inner.generation = generation;
-        }
-        if inner.seeds.len() >= FRONTIER_CAP {
-            inner.seeds.clear();
-        }
-        let bucket = Self::bucket(inner.qps_quantum, qps);
-        inner.seeds.insert(bucket, cfg);
-    }
-
-    /// Stored seeds.
-    pub fn len(&self) -> usize {
-        self.inner.lock().seeds.len()
-    }
-
-    /// True when no seed is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Seeds handed back to a searcher since construction.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use sturgeon_simnode::Allocation;
 
     #[test]
     fn memoizes_and_counts() {
@@ -500,62 +326,5 @@ mod tests {
         });
         assert_eq!(cache.hits() + cache.misses(), 800);
         assert!(cache.len() <= 200);
-    }
-
-    fn seed_cfg(c1: u32) -> PairConfig {
-        PairConfig::new(Allocation::new(c1, 9, 8), Allocation::new(20 - c1, 5, 12))
-    }
-
-    #[test]
-    fn frontier_buckets_nearby_loads_and_counts_reuses() {
-        let fc = FrontierCache::new(100.0);
-        assert!(fc.get(1, 1_000.0).is_none());
-        fc.insert(1, 1_000.0, seed_cfg(6));
-        // 1 040 rounds into the same bucket; 1 060 into the next.
-        assert_eq!(fc.get(1, 1_040.0), Some(seed_cfg(6)));
-        assert!(fc.get(1, 1_060.0).is_none());
-        assert_eq!(fc.reuses(), 1);
-        assert_eq!(fc.len(), 1);
-    }
-
-    #[test]
-    fn frontier_generation_change_invalidates_seeds() {
-        let fc = FrontierCache::new(100.0);
-        fc.insert(1, 500.0, seed_cfg(4));
-        assert!(fc.get(2, 500.0).is_none(), "stale generation must miss");
-        assert!(fc.is_empty());
-        // Inserting under the new generation works normally again.
-        fc.insert(2, 500.0, seed_cfg(5));
-        assert_eq!(fc.get(2, 500.0), Some(seed_cfg(5)));
-    }
-
-    #[test]
-    fn incremental_state_parks_and_returns() {
-        let fc = FrontierCache::default();
-        assert!(fc.take_incremental().is_none());
-        let mut state = Box::<IncrementalState>::default();
-        state.generation = 3;
-        state.lo_bucket = 7;
-        state.slices.push(SliceSnapshot {
-            feas: vec![0b1011],
-            power: vec![1.0, 2.0],
-            best: Some((seed_cfg(5), 0.7)),
-        });
-        fc.store_incremental(state);
-        let back = fc.take_incremental().expect("state must be parked");
-        assert_eq!(back.generation, 3);
-        assert_eq!(back.lo_bucket, 7);
-        assert_eq!(back.slices[0].feas, vec![0b1011]);
-        // The slot is empty again after the take.
-        assert!(fc.take_incremental().is_none());
-    }
-
-    #[test]
-    fn frontier_cap_bounds_memory() {
-        let fc = FrontierCache::new(1.0);
-        for i in 0..600 {
-            fc.insert(1, i as f64 * 10.0, seed_cfg(3));
-        }
-        assert!(fc.len() <= 256 + 1);
     }
 }

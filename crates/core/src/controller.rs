@@ -7,7 +7,6 @@
 //! against the interference the predictor cannot see.
 
 use crate::balancer::{BalancerParams, ResourceBalancer};
-use crate::cache::FrontierCache;
 use crate::obs::{SearchReason, TraceEvent};
 use crate::online::{OnlineAdaptor, OnlineSample};
 use crate::predictor::PerfPowerPredictor;
@@ -189,17 +188,10 @@ pub struct SturgeonController {
     /// `tracing` is on, so an untraced run never allocates here.
     tracing: bool,
     trace: Vec<TraceEvent>,
-    /// Cross-interval frontier seeds for the pruned engine: best configs
-    /// keyed by quantized QPS bucket, invalidated on predictor retrain via
-    /// the table generation. Unused under the heuristic strategy.
-    frontiers: FrontierCache,
     /// Running totals across the run's pruned searches (zero under the
     /// heuristic strategy), exposed for fleet-level metrics aggregation.
     pruned_candidates_total: u64,
     pruned_subspaces_total: u64,
-    frontier_reuses_total: u64,
-    incremental_reused_total: u64,
-    incremental_rescanned_total: u64,
     /// True while the placement layer has parked the BE side (no job
     /// assigned): the controller holds the power-feasible all-LS safe
     /// configuration instead of optimizing a throughput nobody counts.
@@ -222,8 +214,8 @@ impl SturgeonController {
     /// Builds the controller around an already-shared predictor — the
     /// fleet path, where one trained artifact serves every node of a
     /// homogeneous (pair, spec) group. All per-node control state
-    /// (balancer, warm hints, frontier cache, safe-mode machinery) stays
-    /// private to this controller.
+    /// (balancer, warm hints, safe-mode machinery) stays private to this
+    /// controller.
     pub fn with_shared_predictor(
         predictor: Arc<PerfPowerPredictor>,
         spec: NodeSpec,
@@ -254,12 +246,8 @@ impl SturgeonController {
             safe_mode_entries: 0,
             tracing: false,
             trace: Vec::new(),
-            frontiers: FrontierCache::default(),
             pruned_candidates_total: 0,
             pruned_subspaces_total: 0,
-            frontier_reuses_total: 0,
-            incremental_reused_total: 0,
-            incremental_rescanned_total: 0,
             be_idle: false,
         }
     }
@@ -362,24 +350,10 @@ impl SturgeonController {
     }
 
     /// Running totals over the run's pruned-engine searches, as
-    /// `(pruned_candidates, pruned_subspaces, frontier_reuses)`. All zero
-    /// under the default heuristic strategy.
-    pub fn pruned_totals(&self) -> (u64, u64, u64) {
-        (
-            self.pruned_candidates_total,
-            self.pruned_subspaces_total,
-            self.frontier_reuses_total,
-        )
-    }
-
-    /// Running totals over the run's incremental re-searches, as
-    /// `(slices_reused, slices_rescanned)`. Both zero under the heuristic
-    /// strategy and whenever every search fell back to the full sweep.
-    pub fn incremental_totals(&self) -> (u64, u64) {
-        (
-            self.incremental_reused_total,
-            self.incremental_rescanned_total,
-        )
+    /// `(pruned_candidates, pruned_subspaces)`. Both zero under the
+    /// default heuristic strategy.
+    pub fn pruned_totals(&self) -> (u64, u64) {
+        (self.pruned_candidates_total, self.pruned_subspaces_total)
     }
 
     /// The balancer (for effectiveness accounting).
@@ -443,7 +417,7 @@ impl SturgeonController {
     fn run_search(&mut self, qps: f64, t_s: f64, reason: SearchReason) -> PairConfig {
         // Heuristic: warm start from the previous successful search when
         // the load drifted only a little (the common diurnal case).
-        // Pruned: frontier seeds and slice state reused across intervals.
+        // Pruned: a stateless sweep; the hint is unused.
         let previous = self.warm_hint.as_ref().map(|(cfg, q)| (cfg, *q));
         let outcome = ConfigSearch::new(
             &self.predictor,
@@ -451,13 +425,9 @@ impl SturgeonController {
             self.budget_w,
             self.params.search,
         )
-        .with_frontiers(&self.frontiers)
         .run(qps, previous);
         self.pruned_candidates_total += outcome.stats.pruned_candidates;
         self.pruned_subspaces_total += outcome.stats.pruned_subspaces;
-        self.frontier_reuses_total += outcome.stats.frontier_reuses;
-        self.incremental_reused_total += outcome.stats.incremental_slices_reused;
-        self.incremental_rescanned_total += outcome.stats.incremental_slices_rescanned;
         self.warm_hint = outcome.best.map(|cfg| (cfg, qps));
         self.last_search_stats = Some(outcome.stats);
         self.last_search_qps = Some(qps);
@@ -513,12 +483,7 @@ impl SturgeonController {
                     evaluated: outcome.stats.candidates,
                     pruned_candidates: outcome.stats.pruned_candidates,
                     pruned_subspaces: outcome.stats.pruned_subspaces,
-                    frontier_reuses: outcome.stats.frontier_reuses,
-                });
-                self.trace.push(TraceEvent::SearchIncremental {
-                    t_s,
-                    slices_reused: outcome.stats.incremental_slices_reused,
-                    slices_rescanned: outcome.stats.incremental_slices_rescanned,
+                    frontier_reuses: 0,
                 });
             }
             self.trace.push(TraceEvent::CacheSnapshot {

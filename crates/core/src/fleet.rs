@@ -12,7 +12,7 @@
 //!   (pair, spec), so offline training and `ModelTables` construction
 //!   are paid once and shared through `Arc`
 //!   ([`TrainingMode::Shared`]). Per-shard control state (balancer,
-//!   warm hints, `FrontierCache`) stays private.
+//!   warm hints, safe-mode machinery) stays private.
 //!   [`TrainingMode::PerNode`] reproduces today's per-node training for
 //!   the bit-exactness tests.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
@@ -1148,23 +1148,13 @@ impl Fleet {
         registry.add("run.intervals", intervals);
         let mut pruned_cells = 0u64;
         let mut pruned_slices = 0u64;
-        let mut frontier_reuses = 0u64;
-        let mut incremental_reused = 0u64;
-        let mut incremental_rescanned = 0u64;
         for shard in &self.shards {
-            let (cells, slices, reuses) = shard.controller.pruned_totals();
+            let (cells, slices) = shard.controller.pruned_totals();
             pruned_cells += cells;
             pruned_slices += slices;
-            frontier_reuses += reuses;
-            let (reused, rescanned) = shard.controller.incremental_totals();
-            incremental_reused += reused;
-            incremental_rescanned += rescanned;
         }
         registry.add("search.pruned_candidates", pruned_cells);
         registry.add("search.pruned_subspaces", pruned_slices);
-        registry.add("search.frontier_reuses", frontier_reuses);
-        registry.add("search.incremental_slices_reused", incremental_reused);
-        registry.add("search.incremental_slices_rescanned", incremental_rescanned);
         registry.add(
             "controller.stale_intervals",
             result.fault_counters.stale_intervals,

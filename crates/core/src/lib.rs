@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::balancer::{BalancerAction, BalancerParams, HarvestTarget, ResourceBalancer};
     pub use crate::baselines::{PartiesController, StaticReservationController};
     pub use crate::budget::{BudgetCap, BudgetEvent, BudgetLevel, BudgetTree};
-    pub use crate::cache::{FrontierCache, PredictionCache};
+    pub use crate::cache::PredictionCache;
     pub use crate::cluster::{Cluster, ClusterResult};
     pub use crate::controller::{
         ControllerFaultCounters, ControllerParams, ResourceController, RobustnessParams,

@@ -429,23 +429,14 @@ impl MetricsRegistry {
             TraceEvent::SearchPruned {
                 pruned_candidates,
                 pruned_subspaces,
-                frontier_reuses,
                 ..
             } => {
                 self.inc("search.pruned_runs");
                 self.add("search.pruned_candidates", *pruned_candidates);
                 self.add("search.pruned_subspaces", *pruned_subspaces);
-                self.add("search.frontier_reuses", *frontier_reuses);
             }
-            TraceEvent::SearchIncremental {
-                slices_reused,
-                slices_rescanned,
-                ..
-            } => {
-                self.inc("search.incremental_runs");
-                self.add("search.incremental_slices_reused", *slices_reused);
-                self.add("search.incremental_slices_rescanned", *slices_rescanned);
-            }
+            // Retired: no longer emitted, kept for trace-format compatibility.
+            TraceEvent::SearchIncremental { .. } => {}
             TraceEvent::CacheSnapshot {
                 entries,
                 hits,

@@ -133,15 +133,13 @@ pub enum TraceEvent {
         pruned_candidates: u64,
         /// Whole C1 slices skipped outright.
         pruned_subspaces: u64,
-        /// 1 when the incumbent came from the cross-interval frontier
-        /// cache, 0 when the bisection warm-up supplied it.
+        /// Retired: always 0. The engine keeps no cross-interval frontier
+        /// seeds; the field stays for trace-format compatibility.
         frontier_reuses: u64,
     },
-    /// The incremental re-search accounting for one pruned search: how
-    /// many C1 slices the cross-interval memo answered without a rescan.
-    /// Emitted right after `SearchPruned` when the pruned strategy is
-    /// active; both counters are zero when the search ran the full sweep
-    /// (cold start, retrain, budget change, or multi-bucket QPS drift).
+    /// Retired: never emitted. It reported the cross-interval slice reuse
+    /// of a stateful pruned search the engine no longer has; the shape
+    /// stays so existing traces and their readers keep parsing.
     SearchIncremental {
         /// Interval timestamp (s).
         t_s: f64,

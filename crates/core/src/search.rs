@@ -29,7 +29,7 @@
 //!
 //! The heuristic above is fast but inexact: it only visits minimal-LS
 //! frontier points. The pruned engine runs a fully *latticed* sweep — the
-//! inner loop makes zero virtual predictor calls — via four layers:
+//! inner loop makes zero virtual predictor calls — via three layers:
 //!
 //! 1. **dense BE tables** ([`ModelTables`]): the QPS-independent BE
 //!    throughput and BE power models are flattened per (re)train into
@@ -48,32 +48,24 @@
 //!    [`ConfigSearch::exhaustive_latticed`];
 //! 3. **branch-and-bound over the flats**: each C1 slice is scanned in
 //!    the oracle's exact order — envelope-feasible cells iterated straight
-//!    off the bitset words, per-cell admissible bounds from the BE table —
-//!    skipping cells that provably cannot become the slice's earliest
-//!    argmax, and whole slices whose envelope has no feasible cell
-//!    ([`SearchStats::pruned_candidates`] /
-//!    [`SearchStats::pruned_subspaces`]);
-//! 4. **incremental re-search** ([`crate::cache::IncrementalState`],
-//!    parked in the [`FrontierCache`]): the sweep's per-slice envelopes
-//!    and outcomes are kept between intervals. When the load's slab
-//!    bracket is unchanged the previous outcome is returned verbatim;
-//!    when it moves by at most one bucket, envelopes are recomputed
-//!    in place and only slices whose bytes changed are rescanned
-//!    ([`SearchStats::incremental_slices_reused`] /
-//!    [`SearchStats::incremental_slices_rescanned`]). Drift beyond one
-//!    bucket, retrain, or a budget change falls back to the full sweep.
+//!    off the ANDed bitset words, per-cell admissible bounds from the BE
+//!    table — skipping cells that provably cannot become the slice's
+//!    earliest argmax, and whole slices whose envelope has no feasible
+//!    cell ([`SearchStats::pruned_candidates`] /
+//!    [`SearchStats::pruned_subspaces`]).
+//!
+//! The engine keeps no state between searches: every call brackets its
+//! load and sweeps the envelope afresh, so its result and its counters
+//! depend only on the load, the budget and the predictor's generation.
 //!
 //! Exactness argument (vs the envelope oracle): every per-slice scan is
 //! *self-contained* — a cell is skipped only when its admissible BE bound
-//! cannot beat the slice's own running best (strict-`>` first-wins order
-//! preserved), or, in the slice a revalidated [`FrontierCache`] seed
-//! belongs to, when the bound is strictly below the seed's value (the
-//! seed is a genuine candidate of that same slice, so its value lower-
-//! bounds the slice maximum). Slice outcomes therefore never depend on
-//! other slices, which is what makes reusing them across intervals sound;
-//! the C1-ordered fold reproduces the oracle's global tie-break exactly.
+//! cannot beat the slice's own running best, which an earlier in-order
+//! cell already holds (strict-`>` first-wins order preserved). The
+//! C1-ordered fold of the slice outcomes therefore reproduces the
+//! oracle's global tie-break exactly.
 
-use crate::cache::{FrontierCache, IncrementalState, QueryMeter, SliceSnapshot};
+use crate::cache::QueryMeter;
 use crate::predictor::PerfPowerPredictor;
 use crate::tables::{LsSlab, ModelTables};
 use std::sync::Arc;
@@ -89,8 +81,9 @@ pub enum SearchStrategy {
     #[default]
     Heuristic,
     /// The frontier-pruned branch-and-bound engine: oracle-exact result
-    /// (bit-identical to [`ConfigSearch::exhaustive_serial`]) with
-    /// table-driven pruning and cross-interval frontier reuse.
+    /// (bit-identical to [`ConfigSearch::exhaustive_latticed`], and to
+    /// [`ConfigSearch::exhaustive_serial`] at slab centers) from one
+    /// stateless table-driven branch-and-bound sweep per search.
     FrontierPruned,
 }
 
@@ -167,16 +160,6 @@ pub struct SearchStats {
     pub pruned_candidates: u64,
     /// Pruned engine only: whole C1 slices skipped by their slice bound.
     pub pruned_subspaces: u64,
-    /// Pruned engine only: incumbents replayed from the
-    /// [`FrontierCache`] as pruning bounds for a full sweep.
-    pub frontier_reuses: u64,
-    /// Incremental re-search only: C1 slices whose slab envelope was
-    /// unchanged since the previous interval, so their stored outcome was
-    /// reused without rescanning.
-    pub incremental_slices_reused: u64,
-    /// Incremental re-search only: C1 slices rescanned because their
-    /// slab envelope changed across the one-bucket move.
-    pub incremental_slices_rescanned: u64,
 }
 
 /// The search result.
@@ -201,9 +184,6 @@ type SliceResult = (Option<(PairConfig, f64)>, usize, u64, bool);
 struct PruneTally {
     cells: u64,
     slices: u64,
-    frontier_reuses: u64,
-    incremental_reused: u64,
-    incremental_rescanned: u64,
 }
 
 /// Binary-search the least `x` in `[lo, hi]` with `pred(x)` true, given
@@ -250,7 +230,6 @@ pub struct ConfigSearch<'p> {
     spec: NodeSpec,
     budget_w: f64,
     params: SearchParams,
-    frontiers: Option<&'p FrontierCache>,
 }
 
 impl<'p> ConfigSearch<'p> {
@@ -266,18 +245,7 @@ impl<'p> ConfigSearch<'p> {
             spec,
             budget_w,
             params,
-            frontiers: None,
         }
-    }
-
-    /// Attaches a cross-interval frontier cache: the frontier-pruned
-    /// strategy of [`run`](Self::run) will seed its incumbent from the
-    /// cache's quantized-QPS bucket (after revalidating it at the live
-    /// load) and store its winner back. Results are unchanged with or
-    /// without the cache — only the warm-up cost is.
-    pub fn with_frontiers(mut self, cache: &'p FrontierCache) -> Self {
-        self.frontiers = Some(cache);
-        self
     }
 
     fn max_c1(&self) -> u32 {
@@ -402,9 +370,6 @@ impl<'p> ConfigSearch<'p> {
             cache_misses: meter.misses(),
             pruned_candidates: tally.cells,
             pruned_subspaces: tally.slices,
-            frontier_reuses: tally.frontier_reuses,
-            incremental_slices_reused: tally.incremental_reused,
-            incremental_slices_rescanned: tally.incremental_rescanned,
         };
         let (best, predicted_throughput) = match best {
             Some((cfg, t)) => (Some(cfg), t),
@@ -479,9 +444,8 @@ impl<'p> ConfigSearch<'p> {
     ///   rebuilt. Any doubt — large drift, no feasible candidate in the
     ///   window — runs the full scan, so the warm path never returns
     ///   `None` where the cold path would find a configuration.
-    /// * [`SearchStrategy::FrontierPruned`]: the latticed engine of the
-    ///   module docs, using the [`FrontierCache`] when one is attached
-    ///   ([`with_frontiers`](Self::with_frontiers)); `previous` is unused.
+    /// * [`SearchStrategy::FrontierPruned`]: the stateless latticed engine
+    ///   of the module docs; `previous` is unused.
     pub fn run(&self, qps: f64, previous: Option<(&PairConfig, f64)>) -> SearchOutcome {
         match self.params.strategy {
             SearchStrategy::Heuristic => self.heuristic(qps, previous),
@@ -599,94 +563,10 @@ impl<'p> ConfigSearch<'p> {
             .find(|&f2| base + tables.be_power_w(c2, f2) <= budget)
     }
 
-    /// Recomputes one C1 slice's slab envelope into the snapshot's
-    /// buffers, comparing as it writes: feasibility words become the AND
-    /// of the bracketing slabs' rows, power cells the pointwise `max`.
-    /// Returns true when any word or power bit moved — the signal the
-    /// incremental path uses to decide whether the slice needs a rescan.
-    /// The buffers are reused across intervals, so the steady state
-    /// allocates nothing.
-    fn refresh_envelope(
-        &self,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        c1: u32,
-        snap: &mut SliceSnapshot,
-    ) -> bool {
-        let nf = self.spec.freq_level_count();
-        let nw = self.spec.total_llc_ways as usize;
-        let wpr = lo.words_per_row();
-        let mut changed = snap.feas.len() != nf * wpr || snap.power.len() != nf * nw;
-        if changed {
-            snap.feas.clear();
-            snap.feas.resize(nf * wpr, 0);
-            snap.power.clear();
-            snap.power.resize(nf * nw, 0.0);
-        }
-        for f1 in 0..nf {
-            let (lw, hw) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
-            let out = &mut snap.feas[f1 * wpr..(f1 + 1) * wpr];
-            for k in 0..wpr {
-                let w = lw[k] & hw[k];
-                changed |= out[k] != w;
-                out[k] = w;
-            }
-            let (lp, hp) = (lo.power_row(c1, f1), hi.power_row(c1, f1));
-            let out = &mut snap.power[f1 * nw..(f1 + 1) * nw];
-            for k in 0..nw {
-                let v = lp[k].max(hp[k]);
-                changed |= out[k].to_bits() != v.to_bits();
-                out[k] = v;
-            }
-        }
-        changed
-    }
-
-    /// Re-evaluates a frontier-cache seed under the live slab envelope.
-    /// The seed's LS side is re-checked against the envelope bitsets and
-    /// its BE frequency re-derived from the envelope power frontier, so
-    /// the returned pair is a genuine envelope candidate for *this*
-    /// interval (or `None`, and the full sweep runs unseeded).
-    fn revalidate_seed_latticed(
-        &self,
-        seed: PairConfig,
-        lo: &LsSlab,
-        hi: &LsSlab,
-        tables: &ModelTables,
-    ) -> Option<(PairConfig, f64)> {
-        let (c1, f1, l1) = (seed.ls.cores, seed.ls.freq_level, seed.ls.llc_ways);
-        if !(1..=self.max_c1()).contains(&c1)
-            || !(1..=self.max_l1()).contains(&l1)
-            || f1 > self.spec.max_freq_level()
-        {
-            return None;
-        }
-        if !(lo.feasible(c1, f1, l1) && hi.feasible(c1, f1, l1)) {
-            return None;
-        }
-        let ls_w = lo.ls_power_w(c1, f1, l1).max(hi.ls_power_w(c1, f1, l1));
-        let c2 = self.spec.total_cores - c1;
-        let f2 = self.lattice_f2(c2, ls_w, tables)?;
-        let l2 = self.spec.total_llc_ways - l1;
-        let t = tables.be_throughput(c2, f2, l2);
-        Some((
-            PairConfig::new(Allocation::new(c1, f1, l1), Allocation::new(c2, f2, l2)),
-            t,
-        ))
-    }
-
-    /// The envelope oracle: an unpruned serial sweep of every
-    /// `<C1, F1, L1>` cell under the exact slab-envelope semantics the
-    /// pruned engine uses — AND-of-bitsets feasibility, max-of-rows LS
-    /// power, table `F2*`. This is the bit-identity reference for the
-    /// frontier-pruned strategy of [`run`](Self::run) at *arbitrary*
-    /// loads; at a slab-center
-    /// load it is additionally bit-identical to
-    /// [`exhaustive_serial`](Self::exhaustive_serial), because there the
-    /// bracket degenerates and every envelope value equals the live model
-    /// call it was flattened from.
-    pub fn exhaustive_latticed(&self, qps: f64) -> SearchOutcome {
-        let started = Instant::now();
+    /// The lattice a search at `qps` reads: the BE tables and the two
+    /// slabs whose centers bracket `qps` (the same slab twice at a
+    /// center).
+    fn bracketing_slabs(&self, qps: f64) -> (Arc<ModelTables>, Arc<LsSlab>, Arc<LsSlab>) {
         let tables = self.predictor.model_tables(&self.spec);
         let slabs = self
             .predictor
@@ -698,6 +578,21 @@ impl<'p> ConfigSearch<'p> {
         } else {
             self.predictor.ls_slab(&self.spec, &slabs, k_hi)
         };
+        (tables, lo, hi)
+    }
+
+    /// The envelope oracle: an unpruned serial sweep of every
+    /// `<C1, F1, L1>` cell under the exact slab-envelope semantics the
+    /// pruned engine uses — AND-of-bitsets feasibility, max-of-rows LS
+    /// power, table `F2*`. This is the bit-identity reference for the
+    /// frontier-pruned strategy of [`run`](Self::run) at *arbitrary*
+    /// loads; at a slab-center load it is additionally bit-identical to
+    /// [`exhaustive_serial`](Self::exhaustive_serial), because there the
+    /// bracket degenerates and every envelope value equals the live model
+    /// call it was flattened from.
+    pub fn exhaustive_latticed(&self, qps: f64) -> SearchOutcome {
+        let started = Instant::now();
+        let (tables, lo, hi) = self.bracketing_slabs(qps);
         let top = self.spec.max_freq_level();
         let mut best: Option<(PairConfig, f64)> = None;
         let mut candidates = 0usize;
@@ -738,27 +633,21 @@ impl<'p> ConfigSearch<'p> {
 
     /// One C1 slice of the latticed sweep: the oracle's exact `(F1, L1)`
     /// scan order over the slab envelope — feasible cells iterated
-    /// straight off the bitset words — with cells skipped when their
-    /// admissible BE bound proves they cannot become the slice's earliest
-    /// argmax: `bound < t0` (the revalidated seed value, passed only when
-    /// the seed lives in this very slice, so `t0` lower-bounds the slice
-    /// maximum) or `bound <= slice best so far` (an earlier in-order
-    /// survivor already ties or beats it, and the oracle breaks ties by
-    /// strict `>` first-wins). A slice whose masked envelope has no
-    /// feasible cell is skipped whole. Every rule is slice-local, so the
-    /// outcome never depends on other slices — the property that makes
-    /// reusing stored slice outcomes across intervals sound.
+    /// straight off the AND of the bracketing slabs' bitset words — with
+    /// cells skipped when their admissible BE bound is `<=` the slice
+    /// best so far (an earlier in-order survivor already ties or beats
+    /// it, and the oracle breaks ties by strict `>` first-wins). LS power
+    /// is the `max` of the two slabs, read only for cells that survive
+    /// the bound. A slice whose masked envelope has no feasible cell is
+    /// reported as skipped whole. Every rule is slice-local, so the
+    /// outcome never depends on other slices.
     fn latticed_slice(
         &self,
         c1: u32,
-        t0: f64,
-        feas: &[u64],
-        power: &[f64],
+        lo: &LsSlab,
+        hi: &LsSlab,
         tables: &ModelTables,
     ) -> SliceResult {
-        let top = self.spec.max_freq_level();
-        let nw = self.spec.total_llc_ways as usize;
-        let wpr = feas.len() / (top + 1);
         let c2 = self.spec.total_cores - c1;
         let max_l1 = self.max_l1() as usize;
         // Per-word mask keeping only the L1 <= max_l1 bits in play.
@@ -772,32 +661,27 @@ impl<'p> ConfigSearch<'p> {
                 (1u64 << (max_l1 - lo_bit)) - 1
             }
         };
-        if feas
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & word_mask(i % wpr) == 0)
-        {
-            return (None, 0, 0, true);
-        }
+        let mut any_feasible = false;
         let mut best: Option<(PairConfig, f64)> = None;
         let mut evaluated = 0usize;
         let mut pruned = 0u64;
-        for f1 in 0..=top {
-            let row = &feas[f1 * wpr..(f1 + 1) * wpr];
-            let prow = &power[f1 * nw..(f1 + 1) * nw];
-            for (k, &row_word) in row.iter().enumerate() {
-                let mut word = row_word & word_mask(k);
+        for f1 in 0..=self.spec.max_freq_level() {
+            let (lo_row, hi_row) = (lo.feas_row(c1, f1), hi.feas_row(c1, f1));
+            for (k, (&lw, &hw)) in lo_row.iter().zip(hi_row).enumerate() {
+                let mut word = lw & hw & word_mask(k);
+                any_feasible |= word != 0;
                 while word != 0 {
                     let bit = word.trailing_zeros() as usize;
                     word &= word - 1;
                     let l1 = (k * 64 + bit + 1) as u32;
                     let l2 = self.spec.total_llc_ways - l1;
                     let bound = tables.max_tput_any_freq(c2, l2);
-                    if bound < t0 || best.as_ref().is_some_and(|(_, bt)| bound <= *bt) {
+                    if best.as_ref().is_some_and(|(_, bt)| bound <= *bt) {
                         pruned += 1;
                         continue;
                     }
-                    let Some(f2) = self.lattice_f2(c2, prow[l1 as usize - 1], tables) else {
+                    let ls_w = lo.ls_power_w(c1, f1, l1).max(hi.ls_power_w(c1, f1, l1));
+                    let Some(f2) = self.lattice_f2(c2, ls_w, tables) else {
                         continue;
                     };
                     evaluated += 1;
@@ -814,143 +698,36 @@ impl<'p> ConfigSearch<'p> {
                 }
             }
         }
-        (best, evaluated, pruned, false)
-    }
-
-    /// Stores the winner as the QPS bucket's frontier seed and parks the
-    /// incremental state for the next interval's search.
-    fn park(
-        &self,
-        qps: f64,
-        generation: u64,
-        best: Option<(PairConfig, f64)>,
-        state: Box<IncrementalState>,
-    ) {
-        if let Some(fc) = self.frontiers {
-            if let Some((cfg, _)) = best {
-                fc.insert(generation, qps, cfg);
-            }
-            fc.store_incremental(state);
-        }
+        (best, evaluated, pruned, !any_feasible)
     }
 
     /// The frontier-pruned strategy of [`run`](Self::run): zero model
     /// calls, bit-identical to [`exhaustive_latticed`](Self::exhaustive_latticed)
     /// at every load (and to [`exhaustive_serial`](Self::exhaustive_serial)
-    /// at slab centers), with per-cell/per-slice pruning and
-    /// cross-interval incremental reuse — see the module docs. The whole
-    /// sweep is a few thousand contiguous loads, far below the cost of
-    /// fanning out to a thread pool, so it runs serially.
+    /// at slab centers), with per-cell/per-slice pruning — see the module
+    /// docs. Each call sweeps every C1 slice and folds the slice outcomes
+    /// in C1 order with the oracle's strict-`>` first-wins tie-break;
+    /// nothing is carried to the next call. The whole sweep is a few
+    /// thousand contiguous loads, far below the cost of fanning out to a
+    /// thread pool, so it runs serially.
     fn pruned(&self, qps: f64) -> SearchOutcome {
         let started = Instant::now();
-        let tables = self.predictor.model_tables(&self.spec);
-        let slabs = self
-            .predictor
-            .ls_slabs(&self.spec, self.params.power_load_headroom);
-        let (k_lo, k_hi) = slabs.bracket(qps);
-        let lo = self.predictor.ls_slab(&self.spec, &slabs, k_lo);
-        let hi = if k_hi == k_lo {
-            Arc::clone(&lo)
-        } else {
-            self.predictor.ls_slab(&self.spec, &slabs, k_hi)
-        };
-        let generation = slabs.generation();
-        let max_c1 = self.max_c1();
-        let max_l1 = self.max_l1();
-        let n_slices = max_c1 as usize;
+        let (tables, lo, hi) = self.bracketing_slabs(qps);
         let mut tally = PruneTally::default();
-
-        // Reusable workspace: the previous interval's parked state when a
-        // frontier cache is attached, a fresh allocation otherwise (bare
-        // searches pay it; the steady-state controller path does not).
-        let mut state = self
-            .frontiers
-            .and_then(|fc| fc.take_incremental())
-            .unwrap_or_default();
-        let stale = state.generation != generation
-            || state.budget_bits != self.budget_w.to_bits()
-            || state.headroom_bits != self.params.power_load_headroom.to_bits()
-            || state.max_c1 != max_c1
-            || state.max_l1 != max_l1
-            || state.slices.len() != n_slices;
-        let delta = k_lo
-            .abs_diff(state.lo_bucket)
-            .max(k_hi.abs_diff(state.hi_bucket));
-
-        if !stale && delta == 0 {
-            // Same bracket, same identity: the envelope is unchanged cell
-            // for cell, so the stored outcome is this search's outcome.
-            tally.incremental_reused = n_slices as u64;
-            let best = state.best;
-            self.park(qps, generation, best, state);
-            return Self::finish(started, &QueryMeter::default(), best, 0, tally);
-        }
-        let incremental = !stale && delta <= 1;
-
-        if stale {
-            state.generation = generation;
-            state.budget_bits = self.budget_w.to_bits();
-            state.headroom_bits = self.params.power_load_headroom.to_bits();
-            state.max_c1 = max_c1;
-            state.max_l1 = max_l1;
-            state.slices.clear();
-            state.slices.resize_with(n_slices, SliceSnapshot::default);
-        }
-        state.lo_bucket = k_lo;
-        state.hi_bucket = k_hi;
-
-        // A frontier seed only helps the full sweep (the incremental path
-        // reuses whole slice outcomes instead): revalidated under the
-        // envelope, its value is a genuine candidate value of its own C1
-        // slice, pruning that slice from the first cell.
-        let mut seed: Option<(PairConfig, f64)> = None;
-        if !incremental {
-            if let Some(fc) = self.frontiers {
-                if let Some(s) = fc.get(generation, qps) {
-                    if let Some(cand) = self.revalidate_seed_latticed(s, &lo, &hi, &tables) {
-                        tally.frontier_reuses = 1;
-                        seed = Some(cand);
-                    }
-                }
-            }
-        }
-
-        // The sweep: refresh each slice's envelope in place; rescan the
-        // slice unless the incremental path proves its bytes are
-        // unchanged; fold outcomes in C1 order with the oracle's
-        // strict-`>` first-wins tie-break. The seed only supplies t0 for
-        // its own slice — it is never folded in, so ties resolve to the
-        // oracle's earliest argmax.
         let mut best: Option<(PairConfig, f64)> = None;
         let mut candidates = 0usize;
-        for c1 in 1..=max_c1 {
-            let snap = &mut state.slices[(c1 - 1) as usize];
-            let changed = self.refresh_envelope(&lo, &hi, c1, snap);
-            if incremental && !changed {
-                tally.incremental_reused += 1;
-            } else {
-                if incremental {
-                    tally.incremental_rescanned += 1;
-                }
-                let t0 = match &seed {
-                    Some((cfg, t)) if cfg.ls.cores == c1 => *t,
-                    _ => f64::NEG_INFINITY,
-                };
-                let (slice_best, evaluated, cells, skipped) =
-                    self.latticed_slice(c1, t0, &snap.feas, &snap.power, &tables);
-                snap.best = slice_best;
-                candidates += evaluated;
-                tally.cells += cells;
-                tally.slices += u64::from(skipped);
-            }
-            if let Some((cfg, t)) = snap.best {
+        for c1 in 1..=self.max_c1() {
+            let (slice_best, evaluated, cells, skipped) =
+                self.latticed_slice(c1, &lo, &hi, &tables);
+            candidates += evaluated;
+            tally.cells += cells;
+            tally.slices += u64::from(skipped);
+            if let Some((cfg, t)) = slice_best {
                 if best.as_ref().is_none_or(|(_, bt)| t > *bt) {
                     best = Some((cfg, t));
                 }
             }
         }
-        state.best = best;
-        self.park(qps, generation, best, state);
         Self::finish(started, &QueryMeter::default(), best, candidates, tally)
     }
 }
@@ -1264,98 +1041,6 @@ mod tests {
                 "throughput bits differ at bucket {bucket}"
             );
         }
-    }
-
-    #[test]
-    fn pruned_reuses_frontier_cache_across_intervals() {
-        let (env, p) = setup();
-        let frontiers = crate::cache::FrontierCache::default();
-        let first_search = searcher(&env, &p, SearchParams::default()).with_frontiers(&frontiers);
-        let qps = 0.4 * env.ls().params.peak_qps;
-        let first = first_search.pruned(qps);
-        assert_eq!(first.stats.frontier_reuses, 0);
-        assert_eq!(frontiers.len(), 1);
-        // A budget change stales the incremental memo, so the next search
-        // runs the full sweep — warm-started from the cached frontier
-        // seed, and still returning exactly the envelope oracle's answer.
-        let relaxed = ConfigSearch::new(
-            &p,
-            env.spec().clone(),
-            1.1 * env.budget_w(),
-            SearchParams::default(),
-        )
-        .with_frontiers(&frontiers);
-        let second = relaxed.pruned(qps);
-        assert_eq!(second.stats.frontier_reuses, 1);
-        assert_eq!(second.stats.incremental_slices_reused, 0);
-        let oracle = relaxed.exhaustive_latticed(qps);
-        assert_eq!(second.best, oracle.best);
-        assert_eq!(frontiers.reuses(), 1);
-    }
-
-    #[test]
-    fn pruned_incremental_fast_path_reuses_parked_state() {
-        let (env, p) = setup();
-        let frontiers = crate::cache::FrontierCache::default();
-        let search = searcher(&env, &p, SearchParams::default()).with_frontiers(&frontiers);
-        // Both loads sit strictly inside the same slab bracket, so the
-        // repeat cannot cross a bucket boundary.
-        let slabs = p.ls_slabs(env.spec(), SearchParams::default().power_load_headroom);
-        let q = slabs.quantum();
-        let qps = slabs.center(26) + 0.3 * q;
-        let first = search.pruned(qps);
-        assert_eq!(first.stats.incremental_slices_reused, 0);
-        // A repeat in the same QPS bracket answers from the parked state:
-        // identical outcome, zero candidates evaluated, every slice
-        // reused verbatim.
-        let second = search.pruned(qps + 0.2 * q);
-        assert_eq!(second.best, first.best);
-        assert_eq!(
-            second.predicted_throughput.to_bits(),
-            first.predicted_throughput.to_bits()
-        );
-        assert_eq!(second.stats.candidates, 0);
-        assert_eq!(
-            second.stats.incremental_slices_reused,
-            u64::from(search.max_c1())
-        );
-        assert_eq!(second.stats.incremental_slices_rescanned, 0);
-    }
-
-    #[test]
-    fn pruned_incremental_one_bucket_walk_is_bit_identical() {
-        let (env, p) = setup();
-        let params = SearchParams::default();
-        let frontiers = crate::cache::FrontierCache::default();
-        let warm = searcher(&env, &p, params).with_frontiers(&frontiers);
-        let cold = searcher(&env, &p, params);
-        let slabs = p.ls_slabs(env.spec(), params.power_load_headroom);
-        let q = slabs.quantum();
-        // A QPS walk whose every step moves the bracket by at most one
-        // bucket: the stateful engine takes the incremental path, the
-        // stateless one re-sweeps — both must agree bit for bit.
-        let mut qps = 12.3 * q;
-        let mut incremental_steps = 0u64;
-        for delta in [0.8, -0.5, 1.0, 0.9, -1.0, 0.4, -0.9, 0.7] {
-            qps += delta * q;
-            let inc = warm.pruned(qps);
-            let full = cold.pruned(qps);
-            assert_eq!(inc.best, full.best, "config mismatch at qps {qps}");
-            assert_eq!(
-                inc.predicted_throughput.to_bits(),
-                full.predicted_throughput.to_bits(),
-                "throughput bits differ at qps {qps}"
-            );
-            let oracle = cold.exhaustive_latticed(qps);
-            assert_eq!(inc.best, oracle.best);
-            if inc.stats.incremental_slices_reused + inc.stats.incremental_slices_rescanned > 0 {
-                incremental_steps += 1;
-            }
-        }
-        assert!(
-            incremental_steps >= 7,
-            "walk should stay on the incremental path ({incremental_steps}/8)"
-        );
     }
 
     #[test]

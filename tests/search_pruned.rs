@@ -6,9 +6,9 @@
 //! envelope degenerates to the live models and the engine must match
 //! the live exhaustive serial oracle bit for bit. The property sweep
 //! additionally checks the slabs cell-by-cell against the live
-//! predictor, that the between-slab envelope is never optimistic, and
-//! that incremental re-search under one-bucket QPS walks is
-//! bit-identical to the full pruned sweep.
+//! predictor and that the between-slab envelope is never optimistic.
+//! The engine keeps no state between searches, so a searcher's answer
+//! and counters at a load never depend on the loads it saw before.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -82,61 +82,35 @@ fn pruned_matches_live_oracle_at_slab_centers() {
 }
 
 #[test]
-fn frontier_seeded_search_stays_oracle_equal_across_load_drift() {
-    let (predictor, setup) = shared_predictor();
-    let frontiers = FrontierCache::default();
-    let search = ConfigSearch::new(
-        predictor,
-        setup.spec().clone(),
-        setup.budget_w(),
-        pruned_params(),
-    )
-    .with_frontiers(&frontiers);
-    // Walk a small diurnal-style load path; every step must stay
-    // bit-identical to the envelope oracle, whether it ran the full
-    // sweep (seeded or not) or the incremental slice-reuse path.
-    let mut reuses = 0;
-    let mut incremental = 0;
-    for frac in [0.30, 0.31, 0.33, 0.40, 0.33, 0.31, 0.30] {
-        let qps = frac * setup.peak_qps();
-        let pruned = search.run(qps, None);
-        let full = search.exhaustive_latticed(qps);
-        assert_eq!(pruned.best, full.best, "mismatch at frac {frac}");
-        reuses += pruned.stats.frontier_reuses;
-        incremental +=
-            pruned.stats.incremental_slices_reused + pruned.stats.incremental_slices_rescanned;
-    }
-    assert!(reuses > 0, "revisited loads must reuse frontier seeds");
-    assert!(
-        incremental > 0,
-        "small drifts must take the incremental path"
-    );
-    assert!(frontiers.reuses() >= reuses);
-}
-
-#[test]
-fn incremental_walk_is_bit_identical_to_full_pruned() {
+fn pruned_walk_is_history_independent() {
     let (predictor, setup) = shared_predictor();
     let params = pruned_params();
-    let frontiers = FrontierCache::default();
-    let warm = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params)
-        .with_frontiers(&frontiers);
-    let cold = ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params);
-    let slabs = predictor.ls_slabs(setup.spec(), params.power_load_headroom);
-    let q = slabs.quantum();
-    // An arbitrary one-bucket QPS walk (steps of at most one quantum):
-    // the stateful engine reuses parked slice outcomes, the stateless
-    // one re-sweeps, and they must agree bit for bit at every step.
-    let mut qps = 20.4 * q;
-    for delta in [0.9, -0.3, 1.0, 0.6, -1.0, -0.8, 0.2, 1.0, -0.5, 0.95] {
-        qps += delta * q;
-        let inc = warm.run(qps, None);
-        let full = cold.run(qps, None);
-        assert_eq!(inc.best, full.best, "config mismatch at qps {qps}");
+    let searcher = || ConfigSearch::new(predictor, setup.spec().clone(), setup.budget_w(), params);
+    let walker = searcher();
+    let q = predictor
+        .ls_slabs(setup.spec(), params.power_load_headroom)
+        .quantum();
+    let counts = |s: &SearchStats| (s.candidates, s.pruned_candidates, s.pruned_subspaces);
+    // One searcher walks a QPS path, in slab quanta: one-bucket steps, a
+    // repeat inside the same bracket (22.3 → 22.4), and a multi-bucket
+    // jump back to the start. Every step must equal the envelope oracle
+    // bit for bit and report exactly the counts a fresh searcher reports
+    // at the same load.
+    for quanta in [20.4, 21.3, 22.3, 22.4, 21.4, 22.35, 23.35, 20.4] {
+        let qps = quanta * q;
+        let walked = walker.run(qps, None);
+        let oracle = walker.exhaustive_latticed(qps);
+        assert_eq!(walked.best, oracle.best, "config mismatch at qps {qps}");
         assert_eq!(
-            inc.predicted_throughput.to_bits(),
-            full.predicted_throughput.to_bits(),
+            walked.predicted_throughput.to_bits(),
+            oracle.predicted_throughput.to_bits(),
             "throughput bits differ at qps {qps}"
+        );
+        let fresh = searcher().run(qps, None).stats;
+        assert_eq!(
+            counts(&walked.stats),
+            counts(&fresh),
+            "counts depend on history at qps {qps}"
         );
     }
 }
@@ -200,9 +174,7 @@ proptest! {
     ///    envelope-feasible cell is feasible at *both* bracketing
     ///    centers, and envelope power is never below either center's;
     /// 3. the pruned engine equals the envelope oracle at the probed
-    ///    load and the live serial oracle at a slab center;
-    /// 4. a one-bucket QPS walk on a stateful engine stays bit-identical
-    ///    to the stateless full sweep.
+    ///    load and the live serial oracle at a slab center.
     #[test]
     fn latticed_engine_equals_oracles_on_random_nodes_and_workloads(
         cores in 8u32..15,
@@ -289,22 +261,5 @@ proptest! {
             at_center.predicted_throughput.to_bits(),
             live.predicted_throughput.to_bits()
         );
-
-        // (4): one-bucket walk, stateful vs stateless.
-        let frontiers = FrontierCache::default();
-        let warm = ConfigSearch::new(&p, spec.clone(), env.budget_w(), params)
-            .with_frontiers(&frontiers);
-        let q = slabs.quantum();
-        let mut walk_qps = qps;
-        for (i, delta) in [0.7, -1.0, 0.4, 1.0, -0.6].into_iter().enumerate() {
-            walk_qps = (walk_qps + delta * q).max(0.0);
-            let inc = warm.run(walk_qps, None);
-            let fresh = search.run(walk_qps, None);
-            prop_assert_eq!(inc.best, fresh.best, "walk step {} diverged", i);
-            prop_assert_eq!(
-                inc.predicted_throughput.to_bits(),
-                fresh.predicted_throughput.to_bits()
-            );
-        }
     }
 }
