@@ -6,7 +6,7 @@
 //!           [--ls memcached] [--be raytrace]
 //!           [--profile diurnal|triangle|constant|flash|failover]
 //!           [--fraction 0.3] [--policy even|latency] [--search heuristic|pruned]
-//!           [--training shared|per-node] [--sampled 0] [--seed 42]
+//!           [--sampled 0] [--seed 42]
 //!           [--trace PATH.jsonl] [--json PATH.json]
 //! ```
 //!
@@ -44,7 +44,6 @@ struct Args {
     fraction: f64,
     policy: String,
     search: String,
-    training: String,
     sampled: usize,
     seed: u64,
     trace: Option<PathBuf>,
@@ -68,7 +67,6 @@ impl Default for Args {
             fraction: 0.3,
             policy: "even".into(),
             search: "heuristic".into(),
-            training: "shared".into(),
             sampled: 0,
             seed: 42,
             trace: None,
@@ -135,10 +133,6 @@ fn parse_args() -> Result<Args, String> {
                 args.search = value.clone();
                 explicit("--search");
             }
-            "--training" => {
-                args.training = value.clone();
-                explicit("--training");
-            }
             "--sampled" => {
                 args.sampled = value.parse().map_err(|_| format!("bad sampled {value}"))?;
                 explicit("--sampled");
@@ -169,7 +163,7 @@ fn usage() {
                  [--ls memcached|xapian|img-dnn] [--be raytrace|...] \\
                  [--profile diurnal|triangle|constant|flash|failover] [--fraction F] \\
                  [--policy even|latency] [--search heuristic|pruned] \\
-                 [--training shared|per-node] [--sampled N] [--seed N] \\
+                 [--sampled N] [--seed N] \\
                  [--trace PATH.jsonl] [--json PATH.json]"
     );
 }
@@ -189,9 +183,7 @@ fn peak_rss_mib() -> Option<f64> {
 fn scenario_from_flags(args: &Args) -> Result<Scenario, String> {
     let strategy = scenario::parse_search_strategy(&args.search)
         .ok_or_else(|| format!("unknown search strategy {}", args.search))?;
-    let training = scenario::parse_training(&args.training)
-        .ok_or_else(|| format!("unknown training mode {}", args.training))?;
-    let dispatch = FleetDispatch::parse(&args.policy)
+    let dispatch = DispatchPolicy::parse(&args.policy)
         .ok_or_else(|| format!("unknown policy {}", args.policy))?;
     let region_loads =
         scenario::regional_profiles(&args.profile, args.fraction, args.intervals, args.regions)
@@ -221,7 +213,6 @@ fn scenario_from_flags(args: &Args) -> Result<Scenario, String> {
             nodes: args.nodes,
             shards: args.shards,
             regions: args.regions,
-            training,
             dispatch,
             sampled_nodes: args.sampled,
         }),
@@ -289,12 +280,11 @@ fn main() -> ExitCode {
     };
     let build_s = build_start.elapsed().as_secs_f64();
     eprintln!(
-        "fleet: {} nodes, {} shards, {} regions ({}, {} training) built in {:.2}s",
+        "fleet: {} nodes, {} shards, {} regions ({}) built in {:.2}s",
         fleet.len(),
         fleet.shard_count(),
         fleet.region_count(),
         scenario.pair.label(),
-        scenario::training_name(spec.training),
         build_s
     );
 
@@ -366,6 +356,9 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.json {
+        // `"training": "shared"` stays in every row: it is part of the
+        // row key committed benchmark tables are matched on.
+        //
         // Budget/placement counters only appear when those subsystems
         // are configured, so rows from plain runs keep their legacy key
         // set and stay comparable against committed baselines.
@@ -378,7 +371,7 @@ fn main() -> ExitCode {
             String::new()
         };
         let row = format!(
-            "{{\n  \"nodes\": {},\n  \"intervals\": {},\n  \"shards\": {},\n  \"regions\": {},\n  \"profile\": \"{}\",\n  \"policy\": \"{}\",\n  \"search\": \"{}\",\n  \"training\": \"{}\",\n  \"seed\": {},\n  \"build_s\": {:.3},\n  \"run_s\": {:.3},\n  \"node_intervals_per_s\": {:.0},\n  \"peak_rss_mib\": {:.1},\n  \"qos_rate\": {:.6},\n  \"total_be_throughput\": {:.3},\n  \"mean_power_w\": {:.1},\n  \"budget_w\": {:.1},\n  \"trainings\": {},\n  \"table_builds\": {},\n  \"searches\": {}{extra}\n}}",
+            "{{\n  \"nodes\": {},\n  \"intervals\": {},\n  \"shards\": {},\n  \"regions\": {},\n  \"profile\": \"{}\",\n  \"policy\": \"{}\",\n  \"search\": \"{}\",\n  \"training\": \"shared\",\n  \"seed\": {},\n  \"build_s\": {:.3},\n  \"run_s\": {:.3},\n  \"node_intervals_per_s\": {:.0},\n  \"peak_rss_mib\": {:.1},\n  \"qos_rate\": {:.6},\n  \"total_be_throughput\": {:.3},\n  \"mean_power_w\": {:.1},\n  \"budget_w\": {:.1},\n  \"trainings\": {},\n  \"table_builds\": {},\n  \"searches\": {}{extra}\n}}",
             spec.nodes,
             scenario.intervals,
             fleet.shard_count(),
@@ -386,7 +379,6 @@ fn main() -> ExitCode {
             profile_label,
             policy_label,
             search_label,
-            scenario::training_name(spec.training),
             scenario.seed,
             build_s,
             run_s,

@@ -3,22 +3,18 @@
 //! "The queries sent by users are first dispatched to each server by the
 //! cluster-level scheduler." This module owns that scheduler: a
 //! [`DispatchPolicy`] describes how the aggregate query stream splits
-//! across serving units (nodes in a [`crate::cluster::Cluster`], shards
-//! in a [`crate::fleet::Fleet`]), and a [`Dispatcher`] turns the policy
-//! plus last-interval latency summaries into normalized weights without
-//! per-interval allocation.
+//! across the shards of a [`crate::fleet::Fleet`] region, and a
+//! [`Dispatcher`] turns the policy plus last-interval latency summaries
+//! into normalized weights without per-interval allocation.
 
 use crate::error::SturgeonError;
 
 /// How the cluster scheduler splits the offered load across serving
 /// units.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Equal share to every unit.
     Even,
-    /// Fixed weights (normalized internally; must be non-negative, not
-    /// all zero).
-    Weighted(Vec<f64>),
     /// Adaptive: each interval, weight units by their latency headroom in
     /// the previous interval (a unit near its QoS target receives less).
     /// Weights are EWMA-smoothed and the spread is bounded (≤ 2:1) —
@@ -27,11 +23,30 @@ pub enum DispatchPolicy {
     LatencyAware,
 }
 
+impl DispatchPolicy {
+    /// Canonical spelling (manifest `fleet.dispatch`, `fleet_sim --policy`).
+    pub fn name(self) -> &'static str {
+        match self {
+            DispatchPolicy::Even => "even",
+            DispatchPolicy::LatencyAware => "latency",
+        }
+    }
+
+    /// Parses a canonical policy name.
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "even" => DispatchPolicy::Even,
+            "latency" => DispatchPolicy::LatencyAware,
+            _ => return None,
+        })
+    }
+}
+
 /// Reusable weight engine for one dispatch policy over `n` units.
 ///
-/// The LatencyAware policy is stateful (EWMA smoothing); the others are
-/// pure. All buffers are allocated once at construction and refilled in
-/// place every interval.
+/// The LatencyAware policy is stateful (EWMA smoothing); Even is pure.
+/// All buffers are allocated once at construction and refilled in place
+/// every interval.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     policy: DispatchPolicy,
@@ -46,7 +61,7 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Builds a dispatcher over `n` units, validating the policy.
+    /// Builds a dispatcher over `n` units.
     pub fn try_new(
         policy: DispatchPolicy,
         n: usize,
@@ -55,17 +70,6 @@ impl Dispatcher {
         if n == 0 {
             return Err(SturgeonError::setup("dispatcher needs at least one unit"));
         }
-        if let DispatchPolicy::Weighted(w) = &policy {
-            if w.len() != n {
-                return Err(SturgeonError::setup("one weight per node"));
-            }
-            if !w.iter().all(|&x| x >= 0.0) {
-                return Err(SturgeonError::setup("weights must be non-negative"));
-            }
-            if w.iter().sum::<f64>() <= 0.0 {
-                return Err(SturgeonError::setup("weights must not all be zero"));
-            }
-        }
         Ok(Self {
             policy,
             qos_target_ms,
@@ -73,11 +77,6 @@ impl Dispatcher {
             targets: vec![0.0; n],
             weights: vec![0.0; n],
         })
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &DispatchPolicy {
-        &self.policy
     }
 
     /// Number of serving units.
@@ -97,14 +96,8 @@ impl Dispatcher {
     pub fn fill_weights(&mut self, last_p95_ms: &[f64]) -> &[f64] {
         let n = self.weights.len();
         assert_eq!(last_p95_ms.len(), n, "one p95 summary per unit");
-        match &self.policy {
+        match self.policy {
             DispatchPolicy::Even => self.weights.fill(1.0 / n as f64),
-            DispatchPolicy::Weighted(w) => {
-                let sum: f64 = w.iter().sum();
-                for (out, &x) in self.weights.iter_mut().zip(w) {
-                    *out = x / sum;
-                }
-            }
             DispatchPolicy::LatencyAware => {
                 // Bounded headroom target (spread ≤ 2:1), EWMA-damped:
                 // the latency signal lags one interval, so an aggressive
@@ -148,14 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_normalizes() {
-        let mut d = Dispatcher::try_new(DispatchPolicy::Weighted(vec![3.0, 1.0]), 2, 15.0).unwrap();
-        let w = d.fill_weights(&[0.0, 0.0]).to_vec();
-        assert!((w[0] - 0.75).abs() < 1e-12);
-        assert!((w[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn latency_aware_prefers_headroom_and_stays_bounded() {
         let mut d = Dispatcher::try_new(DispatchPolicy::LatencyAware, 2, 15.0).unwrap();
         // Unit 0 near the target, unit 1 far below: after many intervals
@@ -172,8 +157,6 @@ mod tests {
     #[test]
     fn rejects_bad_setups() {
         assert!(Dispatcher::try_new(DispatchPolicy::Even, 0, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![1.0]), 2, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![-1.0, 2.0]), 2, 15.0).is_err());
-        assert!(Dispatcher::try_new(DispatchPolicy::Weighted(vec![0.0, 0.0]), 2, 15.0).is_err());
+        assert!(Dispatcher::try_new(DispatchPolicy::LatencyAware, 0, 15.0).is_err());
     }
 }

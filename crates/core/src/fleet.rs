@@ -1,28 +1,25 @@
-//! Fleet-scale control plane: the datacenter-sized version of
-//! [`crate::cluster`].
+//! The multi-node runtime: the paper's Fig. 4 deployment model — one
+//! cluster-level dispatcher over autonomous per-node Sturgeon loops —
+//! at datacenter scale.
 //!
-//! The paper's deployment model (Fig. 4) is per-node autonomy under a
-//! cluster-level dispatcher. [`crate::cluster::Cluster`] reproduces it
-//! faithfully at demonstration scale — every node owns a predictor, a
-//! controller and a full in-memory telemetry log — but a 100k-node sweep
-//! cannot afford 100k trainings or O(nodes × intervals) sample storage.
-//! [`Fleet`] restructures the same control loop around three ideas:
+//! A naive implementation gives every node its own predictor, controller
+//! and full in-memory telemetry log; a 100k-node sweep cannot afford
+//! 100k trainings or O(nodes × intervals) sample storage. [`Fleet`]
+//! structures the control loop around three ideas:
 //!
 //! * **Shared model artifacts** — a homogeneous fleet serves one
 //!   (pair, spec), so offline training and `ModelTables` construction
-//!   are paid once and shared through `Arc`
-//!   ([`TrainingMode::Shared`]). Per-shard control state (balancer,
-//!   warm hints, safe-mode machinery) stays private.
-//!   [`TrainingMode::PerNode`] reproduces today's per-node training for
-//!   the bit-exactness tests.
+//!   are paid once and shared through `Arc`. Per-shard control state
+//!   (balancer, warm hints, safe-mode machinery) stays private.
 //! * **Sharded stepping** — nodes are partitioned into contiguous
 //!   shards, each stepped as one rayon task over an SoA slab of node
 //!   state (qps/p95/power/config arrays) instead of a `Vec` of heap-fat
 //!   per-node structs. One Sturgeon controller runs per shard, driven
 //!   by the shard-mean observation; per-node environments keep their
 //!   own interference processes, so node telemetry still diverges the
-//!   way real machines do. With one node per shard this degenerates to
-//!   exactly the `Cluster` control loop.
+//!   way real machines do. With one node per shard and even dispatch,
+//!   each node follows exactly the trajectory of an independent node
+//!   run (`tests/fleet_equivalence.rs` pins this bit for bit).
 //! * **Streaming aggregation** — shards fold telemetry into running
 //!   sums and fixed-bucket histograms as they step; nothing is replayed
 //!   after the run, so memory is O(nodes + shards), independent of the
@@ -36,7 +33,6 @@
 //! the survivors absorb the traffic.
 
 use crate::budget::{even_split, BudgetEvent, BudgetTree};
-use crate::cluster::NodeResult;
 use crate::controller::{
     ControllerFaultCounters, ControllerParams, ResourceController, SturgeonController,
 };
@@ -62,23 +58,9 @@ use sturgeon_workloads::env::CoLocationEnv;
 use sturgeon_workloads::env::Observation;
 use sturgeon_workloads::loadgen::LoadProfile;
 
-/// Bucket bounds shared by the cluster and fleet BE-throughput
-/// histograms (normalized throughput lives in `[0, 1]`).
-pub(crate) const BE_THROUGHPUT_BUCKETS: [f64; 10] =
-    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
-/// Where the fleet's trained model artifacts come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainingMode {
-    /// Train once for the whole fleet and share the predictor (and its
-    /// lazily built `ModelTables`) through `Arc` — the homogeneous-fleet
-    /// fast path: offline cost is paid exactly once per (pair, spec).
-    Shared,
-    /// Train one predictor per shard from that shard's first node seed —
-    /// with one node per shard this is bit-identical to
-    /// [`crate::cluster::Cluster`]'s per-node training.
-    PerNode,
-}
+/// Bucket bounds of the BE-throughput histogram (normalized throughput
+/// lives in `[0, 1]`).
+const BE_THROUGHPUT_BUCKETS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 /// Hierarchical budget configuration for a fleet: the tree's leaves are
 /// the fleet's shards, its racks are the fleet's regions, `rows` groups
@@ -111,11 +93,8 @@ pub struct FleetParams {
     /// most 512). Must not exceed the node count.
     pub shards: usize,
     /// Contiguous shard groups with independent dispatchers and load
-    /// profiles (regional failover). Must not exceed the shard count;
-    /// the [`DispatchPolicy::Weighted`] policy requires exactly one.
+    /// profiles (regional failover). Must not exceed the shard count.
     pub regions: usize,
-    /// Shared or per-shard model training.
-    pub training: TrainingMode,
     /// How each region's dispatcher splits load across its shards.
     pub policy: DispatchPolicy,
     /// Controller tunables applied to every shard controller.
@@ -137,9 +116,7 @@ pub struct FleetParams {
     pub placement: Option<PlacementParams>,
     /// Cold-start scoring: collaborative-filtering BE prediction for a
     /// masked (never-profiled) app and/or the learned co-runner set
-    /// scorer. Requires [`TrainingMode::Shared`] — the CF predictor is
-    /// a shared artifact by construction. `None` keeps the legacy
-    /// closed-form scoring bit for bit.
+    /// scorer. `None` keeps the legacy closed-form scoring bit for bit.
     pub scoring: Option<ScoringParams>,
 }
 
@@ -148,7 +125,6 @@ impl Default for FleetParams {
         Self {
             shards: 0,
             regions: 1,
-            training: TrainingMode::Shared,
             policy: DispatchPolicy::Even,
             controller: ControllerParams::default(),
             sampled_nodes: 0,
@@ -383,9 +359,29 @@ struct Region {
     p95_buf: Vec<f64>,
 }
 
-/// Fleet-wide results: the [`crate::cluster::ClusterResult`] aggregates
-/// plus the artifact-reuse counters that prove the shared-training path
-/// paid its offline costs once.
+/// Per-node summary after a fleet run.
+#[derive(Debug, Clone)]
+pub struct NodeResult {
+    /// Node index.
+    pub node: usize,
+    /// QoS guarantee rate of the node's LS shard.
+    pub qos_rate: f64,
+    /// Mean normalized BE throughput on the node.
+    pub mean_be_throughput: f64,
+    /// Fraction of intervals over the node's power budget.
+    pub overload_fraction: f64,
+    /// Mean node power (W).
+    pub mean_power_w: f64,
+    /// Safe-mode entries of the node's shard controller (every node of
+    /// a shard reports its shard controller's count) — the per-node
+    /// signal the placement layer's migration trigger and the
+    /// degradation tests key on.
+    pub safe_mode_entries: u64,
+}
+
+/// Fleet-wide results: QoS, BE-throughput and power aggregates plus the
+/// artifact-reuse counters that prove the fleet paid its offline costs
+/// once.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Per-node summaries, in node order.
@@ -400,13 +396,12 @@ pub struct FleetResult {
     pub fleet_budget_w: f64,
     /// Robustness counters summed across shard controllers.
     pub fault_counters: ControllerFaultCounters,
-    /// Offline predictor trainings paid during construction (1 in
-    /// [`TrainingMode::Shared`], one per shard in
-    /// [`TrainingMode::PerNode`]).
+    /// Offline predictor trainings paid during construction (always 1:
+    /// the fleet trains once and shares the predictor).
     pub trainings: u64,
-    /// `ModelTables` constructions actually run across the fleet's
-    /// distinct predictors (0 until a pruned search needs them; 1 for a
-    /// shared-predictor fleet no matter how many shards search).
+    /// `ModelTables` constructions actually run on the shared predictor
+    /// (0 until a pruned search needs them; then 1 no matter how many
+    /// shards search).
     pub table_builds: u64,
     /// Configuration searches run across all shard controllers.
     pub searches: u64,
@@ -444,13 +439,12 @@ struct PlacementRuntime {
 pub struct Fleet {
     shards: Vec<Shard>,
     regions: Vec<Region>,
-    /// The distinct predictor artifacts (1 or one per shard), kept for
-    /// the table-build accounting in [`FleetResult`].
-    predictors: Vec<Arc<PerfPowerPredictor>>,
+    /// The shared predictor, kept for the table-build accounting in
+    /// [`FleetResult`].
+    predictor: Arc<PerfPowerPredictor>,
     spec: NodeSpec,
     peak_qps_per_node: f64,
     node_count: usize,
-    trainings: u64,
     /// The BE application whose jobs the placement engine moves.
     be: BeAppId,
     /// The power-delivery tree (leaves = shards); `None` keeps flat
@@ -476,7 +470,7 @@ impl Fleet {
         Self::try_new(pair, nodes, params, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: validates the shard/region/policy geometry
+    /// Fallible constructor: validates the shard/region geometry
     /// and reports failures as [`SturgeonError::Setup`].
     pub fn try_new(
         pair: ColocationPair,
@@ -499,11 +493,6 @@ impl Fleet {
                 "region count must be in 1..=shard count",
             ));
         }
-        if matches!(params.policy, DispatchPolicy::Weighted(_)) && params.regions != 1 {
-            return Err(SturgeonError::setup(
-                "weighted dispatch requires a single region",
-            ));
-        }
         if let Some(t) = params.traced_shard {
             if t >= shard_count {
                 return Err(SturgeonError::setup("traced shard out of range"));
@@ -512,11 +501,6 @@ impl Fleet {
 
         if let Some(sp) = &params.scoring {
             sp.validate()?;
-            if params.training != TrainingMode::Shared {
-                return Err(SturgeonError::setup(
-                    "scoring requires shared training (the CF predictor is a shared artifact)",
-                ));
-            }
         }
 
         // The fleet is homogeneous: pair-level properties come from one
@@ -527,34 +511,26 @@ impl Fleet {
         let budget_w = first.budget_w();
         let spec = first.spec().clone();
 
+        // Offline training runs once; every shard controller shares the
+        // predictor (and its lazily built `ModelTables`).
         let mut cold_start: Option<(String, ColdStartReport)> = None;
-        let shared = match params.training {
-            TrainingMode::Shared => {
-                let predictor = match params.scoring.as_ref().filter(|sp| sp.cold_start) {
-                    Some(sp) => {
-                        let mut sp = sp.clone();
-                        if sp.masked_app.is_none() {
-                            sp.masked_app = Some(pair.be.name().to_string());
-                        }
-                        if sp.fallback {
-                            train_fallback_predictor(&first, &sp)?
-                        } else {
-                            let outcome = train_cold_start_predictor(&first, &sp)?;
-                            cold_start =
-                                Some((sp.masked_app.clone().expect("defaulted"), outcome.report));
-                            outcome.predictor
-                        }
-                    }
-                    None => first.train_default_predictor(),
-                };
-                Some(Arc::new(predictor))
+        let predictor = match params.scoring.as_ref().filter(|sp| sp.cold_start) {
+            Some(sp) => {
+                let mut sp = sp.clone();
+                if sp.masked_app.is_none() {
+                    sp.masked_app = Some(pair.be.name().to_string());
+                }
+                if sp.fallback {
+                    train_fallback_predictor(&first, &sp)?
+                } else {
+                    let outcome = train_cold_start_predictor(&first, &sp)?;
+                    cold_start = Some((sp.masked_app.clone().expect("defaulted"), outcome.report));
+                    outcome.predictor
+                }
             }
-            TrainingMode::PerNode => None,
+            None => first.train_default_predictor(),
         };
-        let mut predictors: Vec<Arc<PerfPowerPredictor>> = Vec::new();
-        if let Some(p) = &shared {
-            predictors.push(Arc::clone(p));
-        }
+        let predictor = Arc::new(predictor);
 
         let mut shards = Vec::with_capacity(shard_count);
         let base = nodes / shard_count;
@@ -562,18 +538,8 @@ impl Fleet {
         let mut first_node = 0usize;
         for s in 0..shard_count {
             let len = base + usize::from(s < extra);
-            let shard_seed = seed.wrapping_add(first_node as u64);
-            let predictor = match &shared {
-                Some(p) => Arc::clone(p),
-                None => {
-                    let p =
-                        Arc::new(ExperimentSetup::new(pair, shard_seed).train_default_predictor());
-                    predictors.push(Arc::clone(&p));
-                    p
-                }
-            };
             let controller = SturgeonController::with_shared_predictor(
-                predictor,
+                Arc::clone(&predictor),
                 spec.clone(),
                 budget_w,
                 qos_target,
@@ -635,16 +601,11 @@ impl Fleet {
                 lo,
                 hi,
                 peak_qps: peak * region_nodes as f64,
-                dispatcher: Dispatcher::try_new(params.policy.clone(), rlen, qos_target)?,
+                dispatcher: Dispatcher::try_new(params.policy, rlen, qos_target)?,
                 p95_buf: vec![0.0; rlen],
             });
             lo = hi;
         }
-
-        let trainings = match params.training {
-            TrainingMode::Shared => 1,
-            TrainingMode::PerNode => shard_count as u64,
-        };
 
         // Budget tree: leaves are the shards (leaf cap = per-node budget
         // times the shard's node count), racks are the regions, rows
@@ -736,11 +697,10 @@ impl Fleet {
         Ok(Self {
             shards,
             regions,
-            predictors,
+            predictor,
             spec,
             peak_qps_per_node: peak,
             node_count: nodes,
-            trainings,
             be: pair.be,
             budget,
             budget_events,
@@ -1188,10 +1148,8 @@ impl Fleet {
         registry.set_gauge("fleet.budget_w", result.fleet_budget_w);
     }
 
-    /// Aggregates the per-node running sums into the run summary. Node
-    /// order and formulas mirror [`crate::cluster::Cluster`] exactly, so
-    /// a one-node-per-shard fleet reproduces `ClusterResult` bit for
-    /// bit.
+    /// Aggregates the per-node running sums into the run summary, in
+    /// node order, with [`TelemetryLog`]'s formulas.
     fn result(&self) -> FleetResult {
         let mut nodes = Vec::with_capacity(self.node_count);
         let mut total_q = 0.0;
@@ -1252,8 +1210,8 @@ impl Fleet {
             mean_fleet_power_w: total_power,
             fleet_budget_w: budget,
             fault_counters,
-            trainings: self.trainings,
-            table_builds: self.predictors.iter().map(|p| p.table_builds()).sum(),
+            trainings: 1,
+            table_builds: self.predictor.table_builds(),
             searches,
             budget_reclaims: self.budget_reclaims,
             migrations: self.placement.as_ref().map_or(0, |rt| rt.migrations),
@@ -1309,23 +1267,73 @@ mod tests {
     }
 
     #[test]
-    fn per_node_training_pays_per_shard() {
+    fn even_fleet_holds_qos_and_recovers_batch_work() {
         let params = FleetParams {
             shards: 3,
-            training: TrainingMode::PerNode,
             ..FleetParams::default()
         };
-        let mut fleet = Fleet::new(pair(), 3, params, 7);
-        let r = fleet.run(LoadProfile::Constant { fraction: 0.3 }, 10);
-        assert_eq!(r.trainings, 3);
-        // Every shard owns a private predictor, so any table work is
-        // paid per shard — never more than once per predictor, and
-        // never amortized the way the shared fleet amortizes it.
+        let mut fleet = Fleet::new(pair(), 3, params, 42);
+        let r = fleet.run(LoadProfile::Constant { fraction: 0.3 }, 100);
+        assert!(r.qos_rate > 0.9, "fleet QoS {}", r.qos_rate);
         assert!(
-            r.table_builds <= 3,
-            "at most one build per private predictor, got {}",
-            r.table_builds
+            r.total_be_throughput > 1.0,
+            "3 nodes should recover > 1 machine of batch work, got {}",
+            r.total_be_throughput
         );
+        assert!(r.mean_fleet_power_w <= r.fleet_budget_w * 1.02);
+        assert_eq!(r.nodes.len(), 3);
+        // Default (non-hardened) controllers never enter the degradation
+        // machinery, so the aggregated counters stay zero.
+        assert_eq!(r.fault_counters.stale_intervals, 0);
+        assert_eq!(r.fault_counters.safe_mode_entries, 0);
+    }
+
+    #[test]
+    fn latency_aware_fleet_holds_qos_under_fluctuating_load() {
+        // Regression guard: an undamped headroom policy oscillates against
+        // the per-shard controllers and collapses QoS to ~25%; the damped
+        // policy must match even dispatch.
+        let params = FleetParams {
+            shards: 2,
+            policy: DispatchPolicy::LatencyAware,
+            ..FleetParams::default()
+        };
+        let mut fleet = Fleet::new(pair(), 2, params, 5);
+        let r = fleet.run(LoadProfile::paper_fluctuating(200.0), 200);
+        assert!(r.qos_rate > 0.93, "latency-aware fleet QoS {}", r.qos_rate);
+        assert!(r.mean_fleet_power_w <= r.fleet_budget_w);
+    }
+
+    #[test]
+    fn pruned_strategy_fleet_reports_prune_counters() {
+        let params = FleetParams {
+            shards: 2,
+            controller: pruned_params(),
+            ..FleetParams::default()
+        };
+        let mut fleet = Fleet::new(pair(), 2, params, 42);
+        let registry = MetricsRegistry::new();
+        let r = fleet.run_with_metrics(LoadProfile::paper_fluctuating(80.0), 80, &registry);
+        // The exact engine optimizes over the whole space, so the fleet
+        // must still hold QoS (lenient: the exhaustive-equivalent pick can
+        // sit closer to the feasibility edge than the hardened heuristic).
+        assert!(r.qos_rate > 0.8, "pruned fleet QoS {}", r.qos_rate);
+        assert!(
+            registry.counter("search.pruned_candidates") > 0,
+            "table bounds must prune at fleet scale"
+        );
+        // Two nodes × 80 intervals, merged after the run.
+        assert_eq!(registry.counter("run.intervals"), 160);
+        assert_eq!(registry.histogram("interval.p95_ms").unwrap().count, 160);
+        assert_eq!(registry.gauge("fleet.nodes"), Some(2.0));
+        assert_eq!(registry.gauge("fleet.qos_rate"), Some(r.qos_rate));
+    }
+
+    #[test]
+    fn aggregate_peak_scales_with_nodes() {
+        let f1 = Fleet::new(pair(), 1, FleetParams::default(), 1);
+        let f3 = Fleet::new(pair(), 3, FleetParams::default(), 1);
+        assert!((f3.peak_qps() - 3.0 * f1.peak_qps()).abs() < 1e-9);
     }
 
     #[test]
@@ -1415,16 +1423,6 @@ mod tests {
             4,
         );
         assert!(e.to_string().contains("region"), "{e}");
-        let e = err(
-            FleetParams {
-                shards: 2,
-                regions: 2,
-                policy: DispatchPolicy::Weighted(vec![1.0, 1.0]),
-                ..FleetParams::default()
-            },
-            4,
-        );
-        assert!(e.to_string().contains("single region"), "{e}");
     }
 
     #[test]

@@ -33,6 +33,10 @@
 //! * [`experiment`] — the co-location run harness producing the paper's
 //!   metrics (QoS guarantee rate, normalized BE throughput, overload),
 //!   driven through the builder API ([`experiment::ExperimentSetup::runner`]).
+//! * [`dispatch`] and [`fleet`] — the cluster-level half of Fig. 4: a
+//!   dispatcher splitting the query stream across autonomous Sturgeon
+//!   nodes, stepped in shards by the one multi-node runtime,
+//!   [`fleet::Fleet`].
 //! * [`obs`] — the structured observability layer: typed per-interval
 //!   decision traces through pluggable [`obs::TraceSink`]s and a
 //!   dependency-free [`obs::MetricsRegistry`], both zero-cost when not
@@ -42,7 +46,6 @@ pub mod balancer;
 pub mod baselines;
 pub mod budget;
 pub mod cache;
-pub mod cluster;
 pub mod controller;
 pub mod dispatch;
 pub mod error;
@@ -67,7 +70,6 @@ pub mod prelude {
     pub use crate::baselines::{PartiesController, StaticReservationController};
     pub use crate::budget::{BudgetCap, BudgetEvent, BudgetLevel, BudgetTree};
     pub use crate::cache::PredictionCache;
-    pub use crate::cluster::{Cluster, ClusterResult};
     pub use crate::controller::{
         ControllerFaultCounters, ControllerParams, ResourceController, RobustnessParams,
         SturgeonController,
@@ -78,7 +80,7 @@ pub mod prelude {
         ActuationPolicy, ColocationPair, ConfiguredRun, ExperimentSetup, FaultReport, RunBuilder,
         RunResult,
     };
-    pub use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult, TrainingMode};
+    pub use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
     pub use crate::heracles::{HeraclesController, HeraclesParams};
     pub use crate::multi::{
         MultiProfiler, MultiProfilerConfig, MultiSearch, MultiSturgeonController,
@@ -94,8 +96,8 @@ pub mod prelude {
     pub use crate::predictor::{ModelKind, PerfPowerPredictor, PredictorConfig};
     pub use crate::profiler::{ProfileDatasets, Profiler, ProfilerConfig};
     pub use crate::scenario::{
-        ControllerKind, ControllerSpec, FleetDispatch, FleetSpec, Scenario, ScenarioKind,
-        ScenarioMetrics, ScenarioOutcome, SearchProbe, Tolerance,
+        ControllerKind, ControllerSpec, FleetSpec, Scenario, ScenarioKind, ScenarioMetrics,
+        ScenarioOutcome, SearchProbe, Tolerance,
     };
     pub use crate::scoring::{
         train_cold_start_predictor, train_fallback_predictor, ColdStartOutcome, ColdStartPredictor,

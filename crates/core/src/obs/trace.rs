@@ -149,14 +149,21 @@ pub enum TraceEvent {
         slices_rescanned: u64,
     },
     /// Prediction-cache occupancy after a search.
+    ///
+    /// All three fields read the predictor's shared, lifetime state. In a
+    /// fleet every shard controller shares one predictor, and the
+    /// snapshot is taken while other shards may still be searching, so
+    /// the fields (`hits + misses` included) depend on thread count and
+    /// scheduling. They are diagnostics, not a per-search ledger: the
+    /// search's own counts are in [`TraceEvent::SearchRan`].
     CacheSnapshot {
         /// Interval timestamp (s).
         t_s: f64,
-        /// Entries resident across all shards.
+        /// Entries resident across all cache shards.
         entries: usize,
-        /// Lifetime cache hits.
+        /// Lifetime cache hits of the (possibly shared) predictor.
         hits: u64,
-        /// Lifetime cache misses.
+        /// Lifetime cache misses of the (possibly shared) predictor.
         misses: u64,
     },
     /// A budget-tree cap changed and the reclaimed apportionment was

@@ -48,7 +48,7 @@ use crate::controller::{ControllerParams, ResourceController, SturgeonController
 use crate::dispatch::DispatchPolicy;
 use crate::error::SturgeonError;
 use crate::experiment::{ActuationPolicy, ColocationPair, ExperimentSetup, RunResult};
-use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult, TrainingMode};
+use crate::fleet::{Fleet, FleetBudget, FleetParams, FleetResult};
 use crate::heracles::{HeraclesController, HeraclesParams};
 use crate::obs::{MetricsRegistry, TraceSink};
 use crate::placement::PlacementParams;
@@ -154,43 +154,7 @@ impl Default for ControllerSpec {
     }
 }
 
-/// How a fleet region's dispatcher splits load across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetDispatch {
-    /// Uniform split.
-    Even,
-    /// Latency-aware split from last-interval shard p95 summaries.
-    LatencyAware,
-}
-
-impl FleetDispatch {
-    /// Canonical manifest spelling (matches `fleet_sim --policy`).
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetDispatch::Even => "even",
-            FleetDispatch::LatencyAware => "latency",
-        }
-    }
-
-    /// Parses a canonical dispatch-policy name.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "even" => FleetDispatch::Even,
-            "latency" => FleetDispatch::LatencyAware,
-            _ => return None,
-        })
-    }
-
-    /// The core dispatch policy this manifest value lowers to.
-    pub fn to_policy(self) -> DispatchPolicy {
-        match self {
-            FleetDispatch::Even => DispatchPolicy::Even,
-            FleetDispatch::LatencyAware => DispatchPolicy::LatencyAware,
-        }
-    }
-}
-
-/// The `[fleet]` section: geometry and training mode.
+/// The `[fleet]` section: geometry and dispatch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Node count.
@@ -199,10 +163,8 @@ pub struct FleetSpec {
     pub shards: usize,
     /// Region count.
     pub regions: usize,
-    /// Shared or per-shard model training.
-    pub training: TrainingMode,
     /// Per-region dispatch policy.
-    pub dispatch: FleetDispatch,
+    pub dispatch: DispatchPolicy,
     /// Keep full telemetry logs for the first N nodes.
     pub sampled_nodes: usize,
 }
@@ -213,8 +175,7 @@ impl Default for FleetSpec {
             nodes: 1,
             shards: 0,
             regions: 1,
-            training: TrainingMode::Shared,
-            dispatch: FleetDispatch::Even,
+            dispatch: DispatchPolicy::Even,
             sampled_nodes: 0,
         }
     }
@@ -262,7 +223,7 @@ pub struct Scenario {
     /// Fleet-aware BE placement engine knobs (fleet only).
     pub placement: Option<PlacementParams>,
     /// Cold-start scoring: CF prediction for a masked app and/or the
-    /// learned co-runner set scorer (fleet only, shared training).
+    /// learned co-runner set scorer (fleet only).
     pub scoring: Option<ScoringParams>,
     /// Optional search-overhead probe (node Sturgeon kinds only).
     pub probe: Option<SearchProbe>,
@@ -483,23 +444,6 @@ pub fn search_strategy_name(s: SearchStrategy) -> &'static str {
     match s {
         SearchStrategy::Heuristic => "heuristic",
         SearchStrategy::FrontierPruned => "pruned",
-    }
-}
-
-/// Parses a fleet training mode (`shared` / `per-node`).
-pub fn parse_training(s: &str) -> Option<TrainingMode> {
-    Some(match s {
-        "shared" => TrainingMode::Shared,
-        "per-node" => TrainingMode::PerNode,
-        _ => return None,
-    })
-}
-
-/// Canonical name of a training mode.
-pub fn training_name(t: TrainingMode) -> &'static str {
-    match t {
-        TrainingMode::Shared => "shared",
-        TrainingMode::PerNode => "per-node",
     }
 }
 
@@ -1155,21 +1099,26 @@ impl Scenario {
                 let nodes = u64_key(f, "nodes", "fleet")?
                     .ok_or_else(|| bad("`[fleet]` needs a `nodes` count"))?
                     as usize;
-                let training = match str_key(f, "training", "fleet")? {
-                    None => TrainingMode::Shared,
-                    Some(t) => parse_training(t)
-                        .ok_or_else(|| bad(format!("unknown training mode `{t}`")))?,
-                };
+                // The fleet always trains once and shares the predictor;
+                // `training = "shared"` is still accepted so manifests
+                // written when training was configurable keep loading.
+                if let Some(t) = str_key(f, "training", "fleet")? {
+                    if t != "shared" {
+                        return Err(bad(format!(
+                            "unknown training mode `{t}`: per-node training was removed, \
+                             the fleet always shares one predictor (`shared`)"
+                        )));
+                    }
+                }
                 let dispatch = match str_key(f, "dispatch", "fleet")? {
-                    None => FleetDispatch::Even,
-                    Some(d) => FleetDispatch::parse(d)
+                    None => DispatchPolicy::Even,
+                    Some(d) => DispatchPolicy::parse(d)
                         .ok_or_else(|| bad(format!("unknown dispatch policy `{d}`")))?,
                 };
                 Some(FleetSpec {
                     nodes,
                     shards: u64_key(f, "shards", "fleet")?.unwrap_or(0) as usize,
                     regions: u64_key(f, "regions", "fleet")?.unwrap_or(1) as usize,
-                    training,
                     dispatch,
                     sampled_nodes: u64_key(f, "sampled_nodes", "fleet")?.unwrap_or(0) as usize,
                 })
@@ -1370,12 +1319,6 @@ impl Scenario {
                         fleet.regions
                     )));
                 }
-                if self.scoring.is_some() && fleet.training != TrainingMode::Shared {
-                    return Err(bad(
-                        "`[scoring]` requires `fleet.training = \"shared\"` (the CF predictor \
-                         is a shared artifact)",
-                    ));
-                }
             }
         }
         if self.probe.is_some() && !self.controller.kind.is_sturgeon() {
@@ -1435,10 +1378,6 @@ impl Scenario {
                     ("nodes".into(), Value::Number(fleet.nodes as f64)),
                     ("shards".into(), Value::Number(fleet.shards as f64)),
                     ("regions".into(), Value::Number(fleet.regions as f64)),
-                    (
-                        "training".into(),
-                        Value::String(training_name(fleet.training).to_string()),
-                    ),
                     (
                         "dispatch".into(),
                         Value::String(fleet.dispatch.name().to_string()),
@@ -1557,8 +1496,7 @@ impl Scenario {
         Ok(FleetParams {
             shards: fleet.shards,
             regions: fleet.regions,
-            training: fleet.training,
-            policy: fleet.dispatch.to_policy(),
+            policy: fleet.dispatch,
             controller: self.controller_params(),
             sampled_nodes: fleet.sampled_nodes,
             traced_shard: None,
@@ -1946,10 +1884,27 @@ day_s = 100
         assert_eq!(fleet.nodes, 64);
         assert_eq!(fleet.shards, 4);
         assert_eq!(fleet.regions, 2);
-        assert_eq!(fleet.dispatch, FleetDispatch::LatencyAware);
+        assert_eq!(fleet.dispatch, DispatchPolicy::LatencyAware);
         assert_eq!(s.region_loads.len(), 2);
         let round = Scenario::from_toml_str(&s.to_toml_string()).unwrap();
         assert_eq!(round, s);
+    }
+
+    #[test]
+    fn fleet_training_accepts_only_shared() {
+        let manifest = |training: &str| {
+            format!(
+                "name = \"t\"\n[workload]\nls = \"memcached\"\nbe = \"raytrace\"\n\
+                 [fleet]\nnodes = 4\ntraining = \"{training}\"\n"
+            )
+        };
+        let s = Scenario::from_toml_str(&manifest("shared")).unwrap();
+        assert_eq!(s.fleet.map(|f| f.nodes), Some(4));
+        let err = Scenario::from_toml_str(&manifest("per-node")).unwrap_err();
+        assert!(
+            err.to_string().contains("per-node training was removed"),
+            "{err}"
+        );
     }
 
     #[test]

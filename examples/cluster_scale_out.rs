@@ -3,13 +3,14 @@
 //! Sturgeon nodes, each managing its own co-location autonomously.
 //!
 //! Compares dispatch policies (even vs latency-aware) on a 4-node
-//! cluster riding the paper's fluctuating load.
+//! cluster riding the paper's fluctuating load. The cluster is a
+//! [`Fleet`] with one node per shard, so every node runs its own
+//! controller, exactly as in the paper.
 //!
 //! ```sh
 //! cargo run --release --example cluster_scale_out [duration_s]
 //! ```
 
-use sturgeon::cluster::{Cluster, DispatchPolicy};
 use sturgeon::prelude::*;
 
 fn main() {
@@ -29,8 +30,13 @@ fn main() {
         ("latency-aware dispatch", DispatchPolicy::LatencyAware),
     ] {
         println!("== {name} ==");
+        let params = FleetParams {
+            shards: nodes,
+            policy,
+            ..FleetParams::default()
+        };
         let mut cluster =
-            Cluster::try_new(pair, nodes, policy, 42).expect("valid cluster configuration");
+            Fleet::try_new(pair, nodes, params, 42).expect("valid cluster configuration");
         let registry = MetricsRegistry::new();
         let result = cluster.run_with_metrics(
             LoadProfile::paper_fluctuating(duration as f64),
@@ -51,8 +57,8 @@ fn main() {
             "  cluster: QoS {:.2}% | batch work recovered {:.2} machine-equivalents | power {:.0}/{:.0} W",
             result.qos_rate * 100.0,
             result.total_be_throughput,
-            result.mean_cluster_power_w,
-            result.cluster_budget_w
+            result.mean_fleet_power_w,
+            result.fleet_budget_w
         );
         let p95 = registry
             .histogram("interval.p95_ms")

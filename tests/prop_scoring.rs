@@ -8,7 +8,7 @@
 //! subsystem is strictly opt-in).
 
 use proptest::prelude::*;
-use sturgeon::fleet::{Fleet, FleetParams, FleetResult, TrainingMode};
+use sturgeon::fleet::{Fleet, FleetParams, FleetResult};
 use sturgeon::placement::PlacementParams;
 use sturgeon::prelude::*;
 use sturgeon_workloads::loadgen::LoadProfile;
@@ -118,7 +118,6 @@ fn run_fleet(scoring: Option<ScoringParams>) -> FleetResult {
     let pair = ColocationPair::new(LsServiceId::Memcached, BeAppId::Raytrace);
     let params = FleetParams {
         shards: 2,
-        training: TrainingMode::Shared,
         placement: Some(PlacementParams {
             interval_s: 5,
             ..PlacementParams::default()

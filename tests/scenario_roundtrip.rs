@@ -341,7 +341,6 @@ dispatch = "{dispatch}"
     let params = FleetParams {
         shards: 3,
         regions,
-        training: TrainingMode::Shared,
         policy: if dispatch == "latency" {
             DispatchPolicy::LatencyAware
         } else {
