@@ -1330,6 +1330,50 @@ mod tests {
     }
 
     #[test]
+    fn run_with_metrics_fills_registry() {
+        let params = FleetParams {
+            shards: 2,
+            ..FleetParams::default()
+        };
+        let mut fleet = Fleet::new(pair(), 2, params, 42);
+        let registry = MetricsRegistry::new();
+        let r = fleet.run_with_metrics(LoadProfile::Constant { fraction: 0.3 }, 30, &registry);
+        // Two nodes × 30 intervals, all aggregated post-run.
+        assert_eq!(registry.counter("run.intervals"), 60);
+        assert_eq!(registry.gauge("fleet.nodes"), Some(2.0));
+        assert_eq!(registry.gauge("fleet.qos_rate"), Some(r.qos_rate));
+        let p95 = registry.histogram("interval.p95_ms").unwrap();
+        assert_eq!(p95.count, 60);
+    }
+
+    #[test]
+    fn try_new_reports_setup_errors() {
+        let err = |p: FleetParams, n: usize| Fleet::try_new(pair(), n, p, 1).err().unwrap();
+        let e = err(FleetParams::default(), 0);
+        assert!(matches!(e, SturgeonError::Setup(_)), "got {e}");
+        let e = err(
+            FleetParams {
+                traced_shard: Some(2),
+                ..FleetParams::default()
+            },
+            2,
+        );
+        assert!(e.to_string().contains("traced shard"), "got {e}");
+        let e = err(
+            FleetParams {
+                placement: Some(PlacementParams {
+                    sigma: -0.5,
+                    ..PlacementParams::default()
+                }),
+                ..FleetParams::default()
+            },
+            2,
+        );
+        assert!(matches!(e, SturgeonError::Setup(_)), "got {e}");
+        assert!(e.to_string().contains("sigma"), "got {e}");
+    }
+
+    #[test]
     fn aggregate_peak_scales_with_nodes() {
         let f1 = Fleet::new(pair(), 1, FleetParams::default(), 1);
         let f3 = Fleet::new(pair(), 3, FleetParams::default(), 1);
